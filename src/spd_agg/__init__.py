@@ -17,7 +17,6 @@ from .kernel import (
 from .stiefel import (
     StiefelPoint,
     TransformTape,
-    renormalize,
     retract_step,
     spd_relu,
     spd_relu_mask,

@@ -41,27 +41,8 @@ from .stiefel import stiefel_init, transform_forward
 
 __all__ = ["main", "entry", "parse_config", "DEFAULT_GRADCHECK_PIPELINE"]
 
-_PIPELINE_KEYS = (
-    "in_channels",
-    "mixed_channels",
-    "transform_dim",
-    "num_classes",
-    "use_spd_relu",
-    "aggregator",
-    "normalizations",
-)
-_TRAIN_KEYS = (
-    "lr_stage1",
-    "lr_stage2",
-    "lr_stiefel",
-    "decay_factor",
-    "plateau_patience",
-    "batch_size",
-    "epochs_per_stage",
-    "seed",
-    "freeze_stiefel",
-    "train_mix_in_stage1",
-)
+_PIPELINE_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 #: Desk-scale defaults used when a config file omits architecture fields.
 _PIPELINE_DEFAULTS = {

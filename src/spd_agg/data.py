@@ -307,28 +307,66 @@ def save_checkpoint(path, params: Params, pipeline: PipelineConfig) -> None:
     checkpoint_write(path, blocks)
 
 
+#: Largest ||W^T W - I||_F accepted for a checkpoint's compression matrix.
+CKPT_ORTHO_TOL = 1e-8
+
+
+def _pipeline_config(block: np.ndarray) -> PipelineConfig:
+    """Decode the 1x8 ``pipeline_config`` block written by :func:`save_checkpoint`."""
+    if block.shape != (1, 8):
+        raise FtsParseError(
+            f"pipeline_config block must be 1x8, got {block.shape[0]}x{block.shape[1]}"
+        )
+    cfg = block[0]
+    if not (np.isfinite(cfg).all() and (cfg == np.round(cfg)).all()):
+        raise FtsParseError(f"pipeline_config entries must be finite integers, got {cfg.tolist()}")
+    if not np.isin(cfg[4:], (0.0, 1.0)).all():
+        raise FtsParseError(
+            f"pipeline_config relu, aggregator and normalization codes must be 0 or 1, "
+            f"got {cfg[4:].tolist()}"
+        )
+    return PipelineConfig(
+        in_channels=int(cfg[0]),
+        mixed_channels=int(cfg[1]),
+        transform_dim=int(cfg[2]),
+        num_classes=int(cfg[3]),
+        use_spd_relu=bool(cfg[4]),
+        aggregator="covariance" if cfg[5] else "kernel",
+        normalizations=NormFlags(power=bool(cfg[6]), l2=bool(cfg[7])),
+    )
+
+
+def _row(blocks: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """The one row of a vector block (a bias)."""
+    if blocks[name].shape[0] != 1:
+        raise FtsParseError(f"block {name!r} must have 1 row, got {blocks[name].shape[0]}")
+    return blocks[name][0]
+
+
 def load_checkpoint(path) -> tuple[Params, PipelineConfig]:
-    """Rebuild (params, pipeline config) from a checkpoint file."""
+    """Rebuild (params, pipeline config) from a checkpoint file.
+
+    Raises :class:`FtsParseError` for a missing block, a malformed
+    configuration or bias block, or a compression matrix whose columns
+    are not orthonormal.
+    """
     blocks = checkpoint_read(path)
     try:
-        cfg = blocks["pipeline_config"][0]
-        pipeline = PipelineConfig(
-            in_channels=int(cfg[0]),
-            mixed_channels=int(cfg[1]),
-            transform_dim=int(cfg[2]),
-            num_classes=int(cfg[3]),
-            use_spd_relu=bool(cfg[4]),
-            aggregator="covariance" if cfg[5] else "kernel",
-            normalizations=NormFlags(power=bool(cfg[6]), l2=bool(cfg[7])),
-        )
+        pipeline = _pipeline_config(blocks["pipeline_config"])
         mix = None
         if pipeline.mixed_channels:
-            mix = MixParams(weights=blocks["mix.weights"], bias=blocks["mix.bias"][0])
+            mix = MixParams(weights=blocks["mix.weights"], bias=_row(blocks, "mix.bias"))
         params = Params(
             mix=mix,
             transform=StiefelPoint(blocks["stiefel.w"]),
-            head=DenseParams(weights=blocks["dense.weights"], bias=blocks["dense.bias"][0]),
+            head=DenseParams(weights=blocks["dense.weights"], bias=_row(blocks, "dense.bias")),
         )
     except KeyError as e:
         raise FtsParseError(f"checkpoint is missing block {e.args[0]!r}") from e
+    orth = params.transform.orthogonality_error()
+    if not orth <= CKPT_ORTHO_TOL:
+        raise FtsParseError(
+            f"stiefel.w columns are not orthonormal: "
+            f"||W^T W - I||_F = {orth:.3e} > {CKPT_ORTHO_TOL:g}"
+        )
     return params, pipeline

@@ -140,9 +140,10 @@ def dense_logits(v: np.ndarray, params: DenseParams) -> np.ndarray:
 
 
 def dense_softmax_ce(
-    v: np.ndarray, params: DenseParams, label: int
+    v: np.ndarray, logits: np.ndarray, params: DenseParams, label: int
 ) -> tuple[float, DenseGrads]:
-    """Affine logits + softmax cross-entropy with max subtraction.
+    """Softmax cross-entropy, with max subtraction, of the logits
+    ``dense_logits(v, params)``.
 
     Returns the loss and closed-form gradients for the input vector, the
     weights, and the bias.
@@ -150,13 +151,11 @@ def dense_softmax_ce(
     num_classes = params.weights.shape[0]
     if not 0 <= label < num_classes:
         raise ValueError(f"label {label} out of range for {num_classes} classes")
-    z = dense_logits(v, params)
-    zmax = float(z.max())
-    shifted = z - zmax
+    zmax = float(logits.max())
+    shifted = logits - zmax
     log_norm = float(np.log(np.exp(shifted).sum()))
     loss = log_norm - float(shifted[label])
-    probs = np.exp(shifted - log_norm)
-    dz = probs.copy()
+    dz = np.exp(shifted - log_norm)  # softmax probabilities, minus the one-hot label
     dz[label] -= 1.0
     return loss, DenseGrads(
         v=matmul(params.weights.T, dz[:, None])[:, 0],

@@ -138,7 +138,7 @@ def kernel_forward(x, sigma: float | None = None) -> tuple[SpdMatrix, KernelTape
     # kernel never exceeds 1.
     sq_dists = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0)
     k = SpdMatrix(np.exp(-sq_dists / (2.0 * sigma * sigma)))
-    return k, KernelTape(m=m.copy(), k=k, sigma=float(sigma))
+    return k, KernelTape(m=m, k=k, sigma=float(sigma))
 
 
 def kernel_backward(tape: KernelTape, grad_k: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ from .linalg import matmul, seeded_rng
 from .stiefel import (
     StiefelPoint,
     TransformTape,
-    renormalize,
     retract_step,
     spd_relu,
     spd_relu_mask,
@@ -83,10 +82,6 @@ __all__ = [
 
 #: Epoch-loss improvement below this counts as a plateau epoch.
 MIN_LOSS_DELTA = 1e-4
-
-#: Every this many optimizer steps the compression matrix is re-retracted
-#: to bound orthonormality drift.
-RENORM_INTERVAL = 100
 
 
 @dataclass(frozen=True)
@@ -186,8 +181,7 @@ class Params:
 class MixTape:
     m0: np.ndarray  # (in_channels, N) input maps
     pre: np.ndarray  # (mixed_channels, N) pre-activation
-    weights: np.ndarray  # forward-time weight snapshot
-    shape: tuple[int, int, int]  # input tensor shape
+    weights: np.ndarray  # the weights the forward used
 
 
 @dataclass(frozen=True)
@@ -196,16 +190,12 @@ class PipelineTapes:
     mix: MixTape | None
     agg_input: np.ndarray  # (C, N) maps entering aggregation
     kernel: KernelTape | None  # None for the covariance aggregator
-    aggregate: np.ndarray  # (C, C) aggregated matrix
-    transform: TransformTape
+    transform: TransformTape  # .k is the (C, C) aggregated matrix
     relu_mask: np.ndarray | None
     power_tape: np.ndarray | None
     l2_tape: L2Tape | None
-    v: np.ndarray
     logits: np.ndarray
     dense_grads: DenseGrads
-    label: int
-    loss: float
 
 
 @dataclass
@@ -299,7 +289,7 @@ def mix_forward(x, params: MixParams) -> tuple[np.ndarray, MixTape]:
     m0 = x.reshape(c0, h * w)
     pre = matmul(params.weights, m0) + params.bias[:, None]
     out = np.maximum(pre, 0.0)
-    tape = MixTape(m0=m0, pre=pre, weights=params.weights.copy(), shape=(c0, h, w))
+    tape = MixTape(m0=m0, pre=pre, weights=params.weights)
     return out.reshape(params.weights.shape[0], h, w), tape
 
 
@@ -314,18 +304,11 @@ def mix_backward(tape: MixTape, grad_out: np.ndarray) -> tuple[np.ndarray, np.nd
     return matmul(gz, tape.m0.T), gz.sum(axis=1), matmul(tape.weights.T, gz)
 
 
-def forward(
-    x,
-    label: int,
-    params: Params,
-    config: PipelineConfig,
-    frozen_sigma: float | None = None,
-) -> tuple[float, int, PipelineTapes]:
-    """Run the full chain for one sample; returns (loss, argmax class, tapes).
-
-    ``frozen_sigma`` pins the kernel bandwidth to a reference value so
-    finite-difference probes measure only the differentiated path.
-    """
+def _logits(
+    x, params: Params, config: PipelineConfig, frozen_sigma: float | None = None
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The chain :func:`forward` and :func:`predict` share, up to the
+    classifier logits; returns (head vector, logits, tape fields)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeMismatchError(f"input must be (C, H, W), got shape {x.shape}")
@@ -345,14 +328,12 @@ def forward(
     if config.aggregator == "kernel":
         spd, kernel_tape = kernel_forward(feats, sigma=frozen_sigma)
         aggregate = spd.m
-        transform_in = spd
     else:
         kernel_tape = None
         aggregate = covariance_forward(feats)
-        transform_in = aggregate
     _assert_finite("aggregated matrix", aggregate)
 
-    y_spd, transform_tape = transform_forward(transform_in, params.transform)
+    y_spd, transform_tape = transform_forward(aggregate, params.transform)
     y = y_spd.m
     relu_mask = None
     if config.use_spd_relu:
@@ -370,32 +351,40 @@ def forward(
     _assert_finite("head vector", v)
 
     logits = dense_logits(v, params.head)
-    loss, dense_grads = dense_softmax_ce(v, params.head, label)
     _assert_finite("classifier logits", logits)
-
-    tapes = PipelineTapes(
+    return v, logits, dict(
         x=x,
         mix=mix_tape,
         agg_input=agg_input,
         kernel=kernel_tape,
-        aggregate=aggregate,
         transform=transform_tape,
         relu_mask=relu_mask,
         power_tape=power_tape,
         l2_tape=l2_tape,
-        v=v,
-        logits=logits,
-        dense_grads=dense_grads,
-        label=int(label),
-        loss=float(loss),
     )
-    return float(loss), int(np.argmax(logits)), tapes
+
+
+def forward(
+    x,
+    label: int,
+    params: Params,
+    config: PipelineConfig,
+    frozen_sigma: float | None = None,
+) -> tuple[float, int, PipelineTapes]:
+    """Run the full chain for one sample; returns (loss, argmax class, tapes).
+
+    ``frozen_sigma`` pins the kernel bandwidth to a reference value so
+    finite-difference probes measure only the differentiated path.
+    """
+    v, logits, fields = _logits(x, params, config, frozen_sigma)
+    loss, dense_grads = dense_softmax_ce(v, logits, params.head, label)
+    tapes = PipelineTapes(**fields, logits=logits, dense_grads=dense_grads)
+    return loss, int(np.argmax(logits)), tapes
 
 
 def predict(x, params: Params, config: PipelineConfig) -> int:
-    """Argmax class for one sample (label-free forward)."""
-    _, pred, _ = forward(x, 0, params, config)
-    return pred
+    """Argmax class for one sample: the forward chain without a loss."""
+    return int(np.argmax(_logits(x, params, config)[1]))
 
 
 def backward(tapes: PipelineTapes, params: Params, config: PipelineConfig) -> Grads:
@@ -495,7 +484,6 @@ def train(
     params = init_params(pipeline, rng)
     history: list[MetricsRecord] = []
     global_epoch = 0
-    step = 0
 
     for stage in (1, 2):
         base_lr = tc.lr_stage1 if stage == 1 else tc.lr_stage2
@@ -516,13 +504,7 @@ def train(
 
             for start in range(0, n, tc.batch_size):
                 batch = order[start : start + tc.batch_size]
-                acc: dict[str, np.ndarray | None] = {
-                    "mw": None,
-                    "mb": None,
-                    "wt": None,
-                    "dw": None,
-                    "db": None,
-                }
+                total: Grads | None = None
                 for idx in batch:
                     idx = int(idx)
                     loss, pred, tapes = forward(samples[idx], int(labels[idx]), params, pipeline)
@@ -533,23 +515,31 @@ def train(
                     grads = backward(tapes, params, pipeline)
                     losses.append(loss)
                     correct += pred == int(labels[idx])
-                    _accumulate(acc, grads, train_mix)
+                    # Sum in sample order from the first sample's gradients
+                    # (not from zeros, so signed zeros survive); only the
+                    # blocks the update below applies.
+                    if total is None:
+                        total = grads
+                        continue
+                    total.dense_weights += grads.dense_weights
+                    total.dense_bias += grads.dense_bias
+                    if not tc.freeze_stiefel:
+                        total.stiefel_tangent += grads.stiefel_tangent
+                    if train_mix:
+                        total.mix_weights += grads.mix_weights
+                        total.mix_bias += grads.mix_bias
                 scale = 1.0 / len(batch)
 
                 if train_mix and lr != 0.0:
-                    params.mix.weights = params.mix.weights - lr * (acc["mw"] * scale)
-                    params.mix.bias = params.mix.bias - lr * (acc["mb"] * scale)
+                    params.mix.weights = params.mix.weights - lr * (total.mix_weights * scale)
+                    params.mix.bias = params.mix.bias - lr * (total.mix_bias * scale)
                 if not tc.freeze_stiefel:
                     params.transform = retract_step(
-                        params.transform, acc["wt"] * scale, stiefel_lr
+                        params.transform, total.stiefel_tangent * scale, stiefel_lr
                     )
                 if lr != 0.0:
-                    params.head.weights = params.head.weights - lr * (acc["dw"] * scale)
-                    params.head.bias = params.head.bias - lr * (acc["db"] * scale)
-
-                step += 1
-                if not tc.freeze_stiefel and step % RENORM_INTERVAL == 0:
-                    params.transform = renormalize(params.transform)
+                    params.head.weights = params.head.weights - lr * (total.dense_weights * scale)
+                    params.head.bias = params.head.bias - lr * (total.dense_bias * scale)
                 max_orth = max(max_orth, params.transform.orthogonality_error())
 
             epoch_loss = sum(losses) / n
@@ -580,15 +570,6 @@ def train(
                 )
             )
     return params, history
-
-
-def _accumulate(acc: dict, grads: Grads, train_mix: bool) -> None:
-    if train_mix:
-        acc["mw"] = grads.mix_weights if acc["mw"] is None else acc["mw"] + grads.mix_weights
-        acc["mb"] = grads.mix_bias if acc["mb"] is None else acc["mb"] + grads.mix_bias
-    acc["wt"] = grads.stiefel_tangent if acc["wt"] is None else acc["wt"] + grads.stiefel_tangent
-    acc["dw"] = grads.dense_weights if acc["dw"] is None else acc["dw"] + grads.dense_weights
-    acc["db"] = grads.dense_bias if acc["db"] is None else acc["db"] + grads.dense_bias
 
 
 @dataclass

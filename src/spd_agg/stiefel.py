@@ -27,7 +27,6 @@ __all__ = [
     "transform_backward_param",
     "tangent_project",
     "retract_step",
-    "renormalize",
     "spd_relu",
     "spd_relu_mask",
 ]
@@ -37,9 +36,9 @@ __all__ = [
 class StiefelPoint:
     """A (c, c') parameter matrix with (approximately) orthonormal columns.
 
-    Orthonormality is maintained by :func:`retract_step` / :func:`renormalize`,
-    not enforced on construction: gradient checkers evaluate deliberately
-    perturbed, slightly off-manifold copies.
+    Orthonormality is maintained by :func:`retract_step`, not enforced on
+    construction: gradient checkers evaluate deliberately perturbed,
+    slightly off-manifold copies.
     """
 
     w: np.ndarray
@@ -165,11 +164,6 @@ def retract_step(w: StiefelPoint, manifold_grad: np.ndarray, lr: float) -> Stief
     if lr == 0.0 or not g.any():
         return w
     return StiefelPoint(qr_reduced(w.w - lr * g).q)
-
-
-def renormalize(w: StiefelPoint) -> StiefelPoint:
-    """Re-tighten orthonormality (drift repair after many float updates)."""
-    return StiefelPoint(qr_reduced(w.w).q)
 
 
 def spd_relu(y) -> np.ndarray:

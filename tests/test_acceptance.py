@@ -6,6 +6,7 @@ one PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +185,9 @@ def test_criterion_07_covariance_as_inner_products():
                   f"max abs diff {worst:.2e} (tol 1e-12) over 50 inputs")
 
 
+#: Metrics file of the seed-7 criterion-08 run (the golden trajectory).
+GOLDEN_METRICS = Path(__file__).parent / "golden" / "criterion_08_seed7_metrics.jsonl"
+
 BENCH_CONFIG = {
     "in_channels": 16,
     "mixed_channels": 12,
@@ -256,9 +260,12 @@ def test_criterion_08_synthetic_benchmark(benchmark_files, capsys):
 def test_criterion_09_training_determinism(benchmark_files, capsys):
     a, _ = _run_train(benchmark_files, benchmark_files[3], "replay_a.jsonl")
     b, _ = _run_train(benchmark_files, benchmark_files[3], "replay_b.jsonl")
-    ok = a.read_bytes() == b.read_bytes()
+    replay = a.read_bytes() == b.read_bytes()
+    golden = a.read_bytes() == GOLDEN_METRICS.read_bytes()
     with capsys.disabled():
-        report(9, ok, "two same-seed training runs wrote bit-identical metrics files")
+        report(9, replay and golden,
+               f"two same-seed training runs wrote bit-identical metrics files ({replay}), "
+               f"byte-equal to {GOLDEN_METRICS.name} ({golden})")
 
 
 def test_criterion_10_fts_robustness(tmp_path):

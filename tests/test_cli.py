@@ -1,9 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
 from spd_agg.cli import main, parse_config
-from spd_agg import NormFlags
+from spd_agg import (
+    NormFlags,
+    PipelineConfig,
+    checkpoint_read,
+    checkpoint_write,
+    init_params,
+    save_checkpoint,
+    seeded_rng,
+)
 
 
 def run(capsys, argv):
@@ -141,6 +150,57 @@ class TestTrainEval:
                                     "--ckpt", str(tmp_path / "no.ftsp")])
         assert code == 1
         assert "error:" in err
+
+
+def _three_entries(blocks):
+    blocks["pipeline_config"] = blocks["pipeline_config"][:, :3]
+
+
+def _inf_entry(blocks):
+    blocks["pipeline_config"][0, 0] = np.inf
+
+
+def _fractional_aggregator(blocks):
+    blocks["pipeline_config"][0, 5] = 0.5
+
+
+def _aggregator_code_two(blocks):
+    blocks["pipeline_config"][0, 5] = 2.0
+
+
+def _empty_bias(blocks):
+    blocks["dense.bias"] = np.zeros((0, 2))
+
+
+def _non_orthonormal_w(blocks):
+    blocks["stiefel.w"] = 5.0 * np.ones_like(blocks["stiefel.w"])
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_three_entries, "1x8"),
+            (_inf_entry, "finite integers"),
+            (_fractional_aggregator, "finite integers"),
+            (_aggregator_code_two, "0 or 1"),
+            (_empty_bias, "1 row"),
+            (_non_orthonormal_w, "orthonormal"),
+        ],
+    )
+    def test_bad_checkpoint_fails_cleanly(self, small_run, tmp_path, capsys, corrupt, message):
+        data, _ = small_run
+        pipeline = PipelineConfig(
+            in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2
+        )
+        ckpt = tmp_path / "model.ftsp"
+        save_checkpoint(ckpt, init_params(pipeline, seeded_rng(2)), pipeline)
+        blocks = checkpoint_read(ckpt)
+        corrupt(blocks)
+        checkpoint_write(ckpt, blocks)
+        code, out, err = run(capsys, ["eval", "--data", str(data), "--ckpt", str(ckpt)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
 
 
 class TestGradcheck:

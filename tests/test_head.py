@@ -17,6 +17,11 @@ from spd_agg import (
 from _oracles import central_diff, random_symmetric, rel_err
 
 
+def softmax_ce(v, params, label):
+    """The loss and gradients of ``v`` through the whole dense layer."""
+    return dense_softmax_ce(v, dense_logits(v, params), params, label)
+
+
 class TestVectorize:
     def test_hand_case_2x2(self):
         v = vectorize(np.array([[1.0, 2.0], [2.0, 3.0]]))
@@ -133,24 +138,24 @@ class TestL2Normalize:
 class TestDenseSoftmaxCe:
     def test_uniform_two_class_loss(self):
         params = DenseParams(weights=np.zeros((2, 4)), bias=np.zeros(2))
-        loss, _ = dense_softmax_ce(np.ones(4), params, 0)
+        loss, _ = softmax_ce(np.ones(4), params, 0)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_equal_logits_any_class_count(self):
         for nc in (2, 3, 7):
             params = DenseParams(weights=np.zeros((nc, 3)), bias=np.zeros(nc))
-            loss, _ = dense_softmax_ce(np.ones(3), params, nc - 1)
+            loss, _ = softmax_ce(np.ones(3), params, nc - 1)
             assert loss == pytest.approx(np.log(nc), abs=1e-12)
 
     def test_saturated_logits(self):
         params = DenseParams(weights=np.zeros((2, 1)), bias=np.array([100.0, 0.0]))
-        loss, _ = dense_softmax_ce(np.zeros(1), params, 0)
+        loss, _ = softmax_ce(np.zeros(1), params, 0)
         assert 0.0 <= loss < 1e-40
 
     def test_label_out_of_range(self):
         params = DenseParams(weights=np.zeros((2, 3)), bias=np.zeros(2))
         with pytest.raises(ValueError, match="out of range"):
-            dense_softmax_ce(np.ones(3), params, 2)
+            softmax_ce(np.ones(3), params, 2)
 
     def test_loss_nonnegative(self):
         rng = seeded_rng(7)
@@ -158,7 +163,7 @@ class TestDenseSoftmaxCe:
             params = DenseParams(
                 weights=rng.standard_normal((3, 5)), bias=rng.standard_normal(3)
             )
-            loss, _ = dense_softmax_ce(rng.standard_normal(5), params, int(rng.integers(3)))
+            loss, _ = softmax_ce(rng.standard_normal(5), params, int(rng.integers(3)))
             assert loss >= 0.0
 
     def test_all_gradients_match_finite_differences(self):
@@ -167,16 +172,16 @@ class TestDenseSoftmaxCe:
         weights = rng.standard_normal((3, 5))
         bias = rng.standard_normal(3)
         label = 1
-        _, grads = dense_softmax_ce(v, DenseParams(weights.copy(), bias.copy()), label)
+        _, grads = softmax_ce(v, DenseParams(weights.copy(), bias.copy()), label)
 
         num_v = central_diff(
-            lambda vv: dense_softmax_ce(vv, DenseParams(weights, bias), label)[0], v.copy()
+            lambda vv: softmax_ce(vv, DenseParams(weights, bias), label)[0], v.copy()
         )
         num_w = central_diff(
-            lambda wm: dense_softmax_ce(v, DenseParams(wm, bias), label)[0], weights.copy()
+            lambda wm: softmax_ce(v, DenseParams(wm, bias), label)[0], weights.copy()
         )
         num_b = central_diff(
-            lambda bb: dense_softmax_ce(v, DenseParams(weights, bb), label)[0], bias.copy()
+            lambda bb: softmax_ce(v, DenseParams(weights, bb), label)[0], bias.copy()
         )
         assert rel_err(grads.v, num_v) < 1e-6
         assert rel_err(grads.weights, num_w) < 1e-6
@@ -207,14 +212,14 @@ class TestHeadEndToEnd:
                 v0 = vectorize(sym)
                 v1, _ = power_normalize(v0)
                 v2, _ = l2_normalize(v1)
-                return dense_softmax_ce(v2, params, label)[0]
+                return softmax_ce(v2, params, label)[0]
 
             numeric = central_diff(loss, y.copy(), h=1e-5)
 
             v0 = vectorize(y)
             v1, ptape = power_normalize(v0)
             v2, ltape = l2_normalize(v1)
-            _, dgrads = dense_softmax_ce(v2, params, label)
+            _, dgrads = softmax_ce(v2, params, label)
             dv = l2_normalize_backward(ltape, dgrads.v)
             dv = power_normalize_backward(ptape, dv)
             analytic = vectorize_backward(dv, 4)

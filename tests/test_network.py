@@ -93,7 +93,7 @@ class TestForward:
         x = seeded_rng(6).standard_normal((5, 4, 4))
         _, _, tapes = forward(x, 0, params, pipe)
         assert tapes.kernel is None
-        assert np.array_equal(tapes.aggregate, covariance_forward(tapes.agg_input))
+        assert np.array_equal(tapes.transform.k, covariance_forward(tapes.agg_input))
 
     def test_bit_identical_across_runs(self):
         params = init_params(SMALL, seeded_rng(7))
@@ -113,7 +113,7 @@ class TestForward:
             )
             params = init_params(pipe, seeded_rng(10))
             _, _, tapes = forward(x, 0, params, pipe)
-            assert check(certify(tapes.aggregate))
+            assert check(certify(tapes.transform.k))
 
     def test_spd_relu_path_runs(self):
         pipe = PipelineConfig(
