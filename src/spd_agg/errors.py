@@ -23,9 +23,11 @@ class NonFiniteError(ValueError):
 class FtsParseError(ValueError):
     """A serialized container failed validation.
 
-    ``offset`` is the byte position the failure was detected at.
+    ``offset`` is the byte position the failure was detected at, or None
+    for a check of decoded content (a checkpoint's configuration or
+    parameters) that no single byte position pins down.
     """
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (at byte {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (at byte {offset})")
         self.offset = offset

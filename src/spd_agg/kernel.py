@@ -39,7 +39,8 @@ SIGMA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SpdMatrix:
-    """Square matrix made bit-for-bit symmetric on construction.
+    """Square matrix, or stack of square matrices along leading axes, made
+    bit-for-bit symmetric on construction.
 
     Positive definiteness is *not* verified here; :func:`certify` returns
     the smallest eigenvalue when a caller needs the certificate.
@@ -49,63 +50,72 @@ class SpdMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ShapeMismatchError(f"SpdMatrix needs a square matrix, got shape {m.shape}")
-        object.__setattr__(self, "m", (m + m.T) / 2.0)
+        object.__setattr__(self, "m", (m + m.swapaxes(-1, -2)) / 2.0)
 
     @property
     def dim(self) -> int:
-        return self.m.shape[0]
+        return self.m.shape[-1]
 
 
 @dataclass(frozen=True)
 class KernelTape:
-    """Forward cache for one kernel aggregation: maps, output, bandwidth."""
+    """Forward cache for one kernel aggregation, or one per sample of a
+    stack: maps, output, bandwidth."""
 
     m: np.ndarray
     k: SpdMatrix
-    sigma: float
+    sigma: float | np.ndarray
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
+        if np.any(np.asarray(self.sigma) <= 0.0):
             raise ValueError(f"bandwidth must be positive, got {self.sigma}")
-        if self.k.dim != self.m.shape[0]:
+        if self.k.dim != self.m.shape[-2]:
             raise ShapeMismatchError(
-                f"kernel dim {self.k.dim} does not match {self.m.shape[0]} feature maps"
+                f"kernel dim {self.k.dim} does not match {self.m.shape[-2]} feature maps"
             )
 
 
 def as_feature_matrix(x) -> np.ndarray:
     """View a (C, H, W) feature stack — or an already flat (C, N) matrix —
-    as the C x N matrix whose rows are the reshaped feature maps."""
+    as the C x N matrix whose rows are the reshaped feature maps.  A
+    (B, C, H, W) stack of samples becomes a (B, C, N) stack of matrices."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x.reshape(x.shape[0], x.shape[1] * x.shape[2])
+    if x.ndim in (3, 4):
+        return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
     if x.ndim == 2:
         return x
-    raise ShapeMismatchError(f"expected a (C, H, W) or (C, N) array, got shape {x.shape}")
+    raise ShapeMismatchError(
+        f"expected a (C, H, W), (C, N) or (B, C, H, W) array, got shape {x.shape}"
+    )
 
 
-def compute_sigma(m: np.ndarray) -> float:
-    """Mean Euclidean distance over all unordered pairs of feature maps.
+def compute_sigma(m) -> float | np.ndarray:
+    """Mean Euclidean distance over all unordered pairs of feature maps;
+    one bandwidth per sample for a (B, C, H, W) stack.
 
-    Accumulation runs in row-major pair order with a plain sequential
-    sum, so the value is reproducible bit-for-bit.  Returns the floor
-    ``SIGMA_FLOOR`` for degenerate inputs where all maps coincide.
+    Each map's distances to the later maps are taken as contiguous row
+    sums, and the distances are then accumulated in row-major pair order
+    by a sequential ``np.cumsum``, so the value is reproducible
+    bit-for-bit and does not depend on how many samples are stacked.
+    Returns the floor ``SIGMA_FLOOR`` for degenerate inputs where all
+    maps coincide.
     """
     m = as_feature_matrix(m)
-    c = m.shape[0]
+    c = m.shape[-2]
     if c < 2:
         raise ValueError(f"bandwidth needs at least two feature maps, got {c}")
-    dists: list[float] = []
+    rows = []
     for i in range(c - 1):
-        diffs = m[i + 1 :] - m[i]
-        dists.extend(np.sqrt((diffs * diffs).sum(axis=1)).tolist())
-    mean = sum(dists) / len(dists)
-    return max(mean, SIGMA_FLOOR)
+        diffs = m[..., i + 1 :, :] - m[..., i : i + 1, :]
+        rows.append(np.sqrt((diffs * diffs).sum(axis=-1)))
+    dists = np.concatenate(rows, axis=-1)
+    mean = np.cumsum(dists, axis=-1)[..., -1] / dists.shape[-1]
+    return np.maximum(mean, SIGMA_FLOOR)
 
 
-def kernel_forward(x, sigma: float | None = None) -> tuple[SpdMatrix, KernelTape]:
+def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[SpdMatrix, KernelTape]:
     """Gaussian-kernel Gram matrix between the feature maps of ``x``.
 
     K_ij = exp(-||f_i - f_j||^2 / (2 sigma^2)) computed densely through
@@ -117,28 +127,32 @@ def kernel_forward(x, sigma: float | None = None) -> tuple[SpdMatrix, KernelTape
 
     Parameters
     ----------
-    x : (C, H, W) or (C, N) array with C >= 2, N >= 2, finite entries.
-    sigma : optional bandwidth override.  Finite-difference harnesses
-        pass the tape value of a reference forward so the bandwidth stays
-        frozen while inputs are perturbed; by default it is recomputed.
+    x : (C, H, W) or (C, N) array with C >= 2, N >= 2, finite entries, or
+        a (B, C, H, W) stack of samples, which gives a stack of B kernel
+        matrices with one bandwidth each.
+    sigma : optional bandwidth override (one per sample for a stack).
+        Finite-difference harnesses pass the tape value of a reference
+        forward so the bandwidth stays frozen while inputs are perturbed;
+        by default it is recomputed.
     """
     m = as_feature_matrix(x)
-    c, n = m.shape
+    c, n = m.shape[-2:]
     if c < 2 or n < 2:
         raise ValueError(f"kernel aggregation needs C >= 2 and N >= 2, got C={c}, N={n}")
     if not np.isfinite(m).all():
         raise NonFiniteError("kernel aggregation input contains non-finite values")
     if sigma is None:
-        sigma = compute_sigma(m)
-    elif sigma <= 0.0:
+        sigma = compute_sigma(x)
+    elif np.any(np.asarray(sigma) <= 0.0):
         raise ValueError(f"bandwidth must be positive, got {sigma}")
-    gram = matmul(m, m.T)
-    sq_norms = np.diag(gram).copy()
+    gram = matmul(m, m.swapaxes(-1, -2))
+    sq_norms = np.diagonal(gram, axis1=-2, axis2=-1)
     # Rounding can push squared distances a hair below zero; clamp so the
     # kernel never exceeds 1.
-    sq_dists = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0)
-    k = SpdMatrix(np.exp(-sq_dists / (2.0 * sigma * sigma)))
-    return k, KernelTape(m=m, k=k, sigma=float(sigma))
+    sq_dists = np.maximum(sq_norms[..., :, None] + sq_norms[..., None, :] - 2.0 * gram, 0.0)
+    scale = np.asarray(2.0 * sigma * sigma)[..., None, None]
+    k = SpdMatrix(np.exp(-sq_dists / scale))
+    return k, KernelTape(m=m, k=k, sigma=sigma)
 
 
 def kernel_backward(tape: KernelTape, grad_k: np.ndarray) -> np.ndarray:
@@ -149,51 +163,57 @@ def kernel_backward(tape: KernelTape, grad_k: np.ndarray) -> np.ndarray:
         dL/df_i = sum_j (G_ij + G_ji) * K_ij * (f_j - f_i) / sigma^2.
 
     The pairwise differences are formed explicitly before contraction, so
-    coincident maps yield exact zeros.  Returns dL/dM with shape (C, N).
+    coincident maps yield exact zeros; a stack is contracted one sample
+    at a time, which bounds the C x C x N difference tensor to one
+    sample.  Returns dL/dM with the shape of ``tape.m``.
     """
     grad_k = np.asarray(grad_k, dtype=np.float64)
-    c = tape.k.dim
-    if grad_k.shape != (c, c):
+    if grad_k.shape != tape.k.m.shape:
         raise ShapeMismatchError(
-            f"upstream gradient shape {grad_k.shape} does not match kernel shape {(c, c)}"
+            f"upstream gradient shape {grad_k.shape} does not match kernel shape {tape.k.m.shape}"
         )
-    coeff = (grad_k + grad_k.T) * tape.k.m / (tape.sigma * tape.sigma)
-    # diffs[i, j] = f_j - f_i
-    diffs = tape.m[None, :, :] - tape.m[:, None, :]
-    return np.einsum("ij,ijn->in", coeff, diffs)
+    sq_sigma = np.asarray(tape.sigma * tape.sigma)[..., None, None]
+    coeff = (grad_k + grad_k.swapaxes(-1, -2)) * tape.k.m / sq_sigma
+    out = np.empty_like(tape.m)
+    for i in np.ndindex(tape.m.shape[:-2]):
+        m = tape.m[i]
+        # diffs[i, j] = f_j - f_i
+        out[i] = np.einsum("ij,ijn->in", coeff[i], m[None, :, :] - m[:, None, :])
+    return out
 
 
 def covariance_forward(x) -> np.ndarray:
     """Sample covariance of the per-position channel vectors.
 
     The columns of the reshaped map matrix are the N local features;
-    normalization is by N - 1.  Returns a plain symmetric PSD matrix —
-    deliberately not an :class:`SpdMatrix`, since it is singular whenever
-    C > N - 1.
+    normalization is by N - 1.  Returns a plain symmetric PSD matrix
+    (a stack of them for a (B, C, H, W) input) — deliberately not an
+    :class:`SpdMatrix`, since it is singular whenever C > N - 1.
     """
     m = as_feature_matrix(x)
-    n = m.shape[1]
+    n = m.shape[-1]
     if n < 2:
         raise ValueError(f"covariance needs at least two local features, got N={n}")
     if not np.isfinite(m).all():
         raise NonFiniteError("covariance input contains non-finite values")
-    centered = m - m.mean(axis=1, keepdims=True)
-    cov = matmul(centered, centered.T) / (n - 1)
-    return (cov + cov.T) / 2.0
+    centered = m - m.mean(axis=-1, keepdims=True)
+    cov = matmul(centered, centered.swapaxes(-1, -2)) / (n - 1)
+    return (cov + cov.swapaxes(-1, -2)) / 2.0
 
 
 def covariance_backward(m: np.ndarray, grad_cov: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`covariance_forward` back to the feature maps."""
     m = as_feature_matrix(m)
-    c, n = m.shape
+    c, n = m.shape[-2:]
     grad_cov = np.asarray(grad_cov, dtype=np.float64)
-    if grad_cov.shape != (c, c):
+    if grad_cov.shape != m.shape[:-2] + (c, c):
         raise ShapeMismatchError(
-            f"upstream gradient shape {grad_cov.shape} does not match covariance shape {(c, c)}"
+            f"upstream gradient shape {grad_cov.shape} does not match covariance shape "
+            f"{m.shape[:-2] + (c, c)}"
         )
-    centered = m - m.mean(axis=1, keepdims=True)
-    d = matmul(grad_cov + grad_cov.T, centered) / (n - 1)
-    return d - d.mean(axis=1, keepdims=True)
+    centered = m - m.mean(axis=-1, keepdims=True)
+    d = matmul(grad_cov + grad_cov.swapaxes(-1, -2), centered) / (n - 1)
+    return d - d.mean(axis=-1, keepdims=True)
 
 
 def certify(k) -> float:

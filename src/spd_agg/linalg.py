@@ -42,17 +42,21 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Accumulates one rank-1 update per inner index, which is bit-identical
     to the naive ``s += a[i, k] * b[k, j]`` triple loop while keeping the
-    inner work vectorized.
+    inner work vectorized.  Axes before the last two are stack axes that
+    broadcast as in ``np.matmul``; every matrix of a stack gets exactly
+    the per-element operations of the 2-D product, so a stacked product
+    equals the products of its matrices bit for bit.
     """
-    a = _as_2d(a, "left operand")
-    b = _as_2d(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"inner dimensions differ: {a.shape[0]}x{a.shape[1]} times {b.shape[0]}x{b.shape[1]}"
-        )
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeMismatchError(f"operands must be at least 2-D, got {a.shape} and {b.shape}")
+    (m, k), (k2, n) = a.shape[-2:], b.shape[-2:]
+    if k != k2:
+        raise ShapeMismatchError(f"inner dimensions differ: {m}x{k} times {k2}x{n}")
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
+    for i in range(k):
+        out += a[..., :, i : i + 1] * b[..., i : i + 1, :]
     return out
 
 

@@ -1,6 +1,7 @@
 """Pipeline assembly and training.
 
-Data flow per sample:
+Data flow per sample (every step also runs on a stack of samples along a
+leading axis, as one batch, with the same bits per sample):
 
     features -> 1x1 channel mix + ReLU (optional) -> kernel or covariance
     aggregation -> bilinear compression on the orthonormal-column manifold
@@ -13,6 +14,9 @@ compression parameters are updated by tangent projection + QR retraction;
 everything else by vanilla ``theta -= lr * grad``.  The loop is
 single-threaded and consumes randomness only from one seeded generator,
 so one (seed, config, dataset) triple yields one bit-exact run.
+Training and evaluation run the chain on slices of stacked samples (see
+:data:`SLICE_VALUES`); a slice gives each sample exactly the bits it gets
+on its own.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError
+from .errors import NonFiniteError, ShapeMismatchError, SingularMatrixError
 from .head import (
     DenseGrads,
     DenseParams,
@@ -82,6 +86,12 @@ __all__ = [
 
 #: Epoch-loss improvement below this counts as a plateau epoch.
 MIN_LOSS_DELTA = 1e-4
+
+#: Float64 values (256 KiB) the widest per-sample array of a slice may
+#: hold across the slice: the input maps (C0 x N), the aggregated maps
+#: (C x N) or the aggregated matrix (C x C).  Larger slices stop paying
+#: once a layer's stack leaves the cache, and they raise peak memory.
+SLICE_VALUES = 32_768
 
 
 @dataclass(frozen=True)
@@ -179,6 +189,8 @@ class Params:
 
 @dataclass(frozen=True)
 class MixTape:
+    """Arrays of one sample, or of a stack along a leading axis."""
+
     m0: np.ndarray  # (in_channels, N) input maps
     pre: np.ndarray  # (mixed_channels, N) pre-activation
     weights: np.ndarray  # the weights the forward used
@@ -186,9 +198,11 @@ class MixTape:
 
 @dataclass(frozen=True)
 class PipelineTapes:
+    """Forward caches of one sample, or of a stack along a leading axis."""
+
     x: np.ndarray
     mix: MixTape | None
-    agg_input: np.ndarray  # (C, N) maps entering aggregation
+    agg_input: np.ndarray  # (C, H, W) maps entering aggregation
     kernel: KernelTape | None  # None for the covariance aggregator
     transform: TransformTape  # .k is the (C, C) aggregated matrix
     relu_mask: np.ndarray | None
@@ -200,13 +214,16 @@ class PipelineTapes:
 
 @dataclass
 class Grads:
+    """Gradient blocks of one sample, or per sample of a stack.  ``None``
+    marks a block :func:`backward` was asked to skip (or no mixer)."""
+
     mix_weights: np.ndarray | None
     mix_bias: np.ndarray | None
     stiefel_euclid: np.ndarray
     stiefel_tangent: np.ndarray
     dense_weights: np.ndarray
     dense_bias: np.ndarray
-    input: np.ndarray
+    input: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -274,34 +291,43 @@ def init_params(
 
 
 def mix_forward(x, params: MixParams) -> tuple[np.ndarray, MixTape]:
-    """Per-position channel mixing followed by ReLU.
+    """Per-position channel mixing followed by ReLU, for one (C, H, W)
+    sample or a (B, C, H, W) stack.
 
     out[:, p] = max(0, W x[:, p] + b) at every spatial position p.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"mixer input must be (C, H, W), got shape {x.shape}")
-    c0, h, w = x.shape
+    if x.ndim not in (3, 4):
+        raise ShapeMismatchError(
+            f"mixer input must be (C, H, W) or (B, C, H, W), got shape {x.shape}"
+        )
+    c0, h, w = x.shape[-3:]
     if c0 != params.weights.shape[1]:
         raise ShapeMismatchError(
             f"input has {c0} channels but mixer expects {params.weights.shape[1]}"
         )
-    m0 = x.reshape(c0, h * w)
+    m0 = x.reshape(x.shape[:-2] + (h * w,))
     pre = matmul(params.weights, m0) + params.bias[:, None]
     out = np.maximum(pre, 0.0)
     tape = MixTape(m0=m0, pre=pre, weights=params.weights)
-    return out.reshape(params.weights.shape[0], h, w), tape
+    return out.reshape(pre.shape[:-1] + (h, w)), tape
 
 
-def mix_backward(tape: MixTape, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients for (weights, bias, input maps); ReLU subgradient at 0 is 0."""
+def mix_backward(
+    tape: MixTape, grad_out: np.ndarray, *, input: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Gradients for (weights, bias, input maps); ReLU subgradient at 0 is 0.
+
+    ``input=False`` skips the input-map gradient and returns None for it.
+    """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != tape.pre.shape:
         raise ShapeMismatchError(
             f"upstream gradient shape {grad_out.shape} does not match {tape.pre.shape}"
         )
     gz = grad_out * (tape.pre > 0.0)
-    return matmul(gz, tape.m0.T), gz.sum(axis=1), matmul(tape.weights.T, gz)
+    d_input = matmul(tape.weights.T, gz) if input else None
+    return matmul(gz, tape.m0.swapaxes(-1, -2)), gz.sum(axis=-1), d_input
 
 
 def _logits(
@@ -310,11 +336,11 @@ def _logits(
     """The chain :func:`forward` and :func:`predict` share, up to the
     classifier logits; returns (head vector, logits, tape fields)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"input must be (C, H, W), got shape {x.shape}")
-    if x.shape[0] != config.in_channels:
+    if x.ndim not in (3, 4):
+        raise ShapeMismatchError(f"input must be (C, H, W) or (B, C, H, W), got shape {x.shape}")
+    if x.shape[-3] != config.in_channels:
         raise ShapeMismatchError(
-            f"input has {x.shape[0]} channels, config expects {config.in_channels}"
+            f"input has {x.shape[-3]} channels, config expects {config.in_channels}"
         )
     _assert_finite("input feature tensor", x)
 
@@ -323,7 +349,6 @@ def _logits(
     if config.mixed_channels:
         feats, mix_tape = mix_forward(x, params.mix)
         _assert_finite("mixed feature tensor", feats)
-    agg_input = feats.reshape(config.feature_channels, -1)
 
     if config.aggregator == "kernel":
         spd, kernel_tape = kernel_forward(feats, sigma=frozen_sigma)
@@ -355,7 +380,7 @@ def _logits(
     return v, logits, dict(
         x=x,
         mix=mix_tape,
-        agg_input=agg_input,
+        agg_input=feats,
         kernel=kernel_tape,
         transform=transform_tape,
         relu_mask=relu_mask,
@@ -366,33 +391,48 @@ def _logits(
 
 def forward(
     x,
-    label: int,
+    label: int | np.ndarray,
     params: Params,
     config: PipelineConfig,
     frozen_sigma: float | None = None,
-) -> tuple[float, int, PipelineTapes]:
+) -> tuple[float | np.ndarray, int | np.ndarray, PipelineTapes]:
     """Run the full chain for one sample; returns (loss, argmax class, tapes).
 
-    ``frozen_sigma`` pins the kernel bandwidth to a reference value so
-    finite-difference probes measure only the differentiated path.
+    A (B, C, H, W) stack of samples with B labels runs as one batch and
+    returns per-sample losses and classes, and stacked tapes; each sample
+    gets the bits it gets on its own.  ``frozen_sigma`` pins the kernel
+    bandwidth to a reference value so finite-difference probes measure
+    only the differentiated path.
     """
     v, logits, fields = _logits(x, params, config, frozen_sigma)
     loss, dense_grads = dense_softmax_ce(v, logits, params.head, label)
     tapes = PipelineTapes(**fields, logits=logits, dense_grads=dense_grads)
-    return loss, int(np.argmax(logits)), tapes
+    return loss, np.argmax(logits, axis=-1), tapes
 
 
-def predict(x, params: Params, config: PipelineConfig) -> int:
-    """Argmax class for one sample: the forward chain without a loss."""
-    return int(np.argmax(_logits(x, params, config)[1]))
+def predict(x, params: Params, config: PipelineConfig) -> int | np.ndarray:
+    """Argmax class for one sample, or per sample of a stack: the forward
+    chain without a loss."""
+    return np.argmax(_logits(x, params, config)[1], axis=-1)
 
 
-def backward(tapes: PipelineTapes, params: Params, config: PipelineConfig) -> Grads:
-    """Chain all layer adjoints back from the loss.
+def backward(
+    tapes: PipelineTapes,
+    params: Params,
+    config: PipelineConfig,
+    *,
+    mix: bool = True,
+    input: bool = True,
+) -> Grads:
+    """Chain all layer adjoints back from the loss, for one sample or per
+    sample of a stack.
 
     The compression gradient is returned both as the raw Euclidean
     partial (what entrywise finite differences measure) and as its
     tangent projection (what the manifold optimizer consumes).
+    ``mix=False`` skips the mixer gradients and ``input=False`` the input
+    gradient; with neither wanted, nothing below the compression is
+    differentiated.
     """
     dv = tapes.dense_grads.v
     if config.normalizations.l2:
@@ -405,19 +445,21 @@ def backward(tapes: PipelineTapes, params: Params, config: PipelineConfig) -> Gr
 
     stiefel_euclid = transform_backward_param(tapes.transform, grad_y)
     stiefel_tangent = tangent_project(params.transform, stiefel_euclid)
-    grad_agg = transform_backward_input(tapes.transform, grad_y)
 
-    if config.aggregator == "kernel":
-        grad_maps = kernel_backward(tapes.kernel, grad_agg)
-    else:
-        grad_maps = covariance_backward(tapes.agg_input, grad_agg)
-
-    if tapes.mix is not None:
-        d_weights, d_bias, d_input = mix_backward(tapes.mix, grad_maps)
-        grad_input = d_input.reshape(tapes.x.shape)
-    else:
-        d_weights = d_bias = None
-        grad_input = grad_maps.reshape(tapes.x.shape)
+    d_weights = d_bias = grad_input = None
+    if input or (mix and tapes.mix is not None):
+        grad_agg = transform_backward_input(tapes.transform, grad_y)
+        if config.aggregator == "kernel":
+            grad_maps = kernel_backward(tapes.kernel, grad_agg)
+        else:
+            grad_maps = covariance_backward(tapes.agg_input, grad_agg)
+        grad_input = grad_maps
+        if tapes.mix is not None:
+            d_weights, d_bias, grad_input = mix_backward(tapes.mix, grad_maps, input=input)
+            if not mix:
+                d_weights = d_bias = None
+        if input:
+            grad_input = grad_input.reshape(tapes.x.shape)
 
     return Grads(
         mix_weights=d_weights,
@@ -430,13 +472,34 @@ def backward(tapes: PipelineTapes, params: Params, config: PipelineConfig) -> Gr
     )
 
 
+def _slice_size(config: PipelineConfig, positions: int) -> int:
+    """Samples per slice at N = ``positions``: as many as keep the widest
+    per-sample array of the chain within :data:`SLICE_VALUES`, at least 1."""
+    c0, c = config.in_channels, config.feature_channels
+    return max(1, SLICE_VALUES // max(c0 * positions, c * positions, c * c))
+
+
 def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -> float:
-    """Fraction of correct argmax predictions, iterated in dataset order."""
+    """Fraction of correct argmax predictions over (n, C, H, W) samples,
+    predicted in slices of stacked samples, in dataset order."""
+    samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels)
+    step = _slice_size(config, samples.shape[-2] * samples.shape[-1])
     correct = 0
-    for i in range(len(labels)):
-        correct += predict(samples[i], params, config) == int(labels[i])
+    for start in range(0, len(labels), step):
+        end = start + step
+        correct += int((predict(samples[start:end], params, config) == labels[start:end]).sum())
     return correct / len(labels)
+
+
+def _ordered_sum(total: np.ndarray | None, stack: np.ndarray) -> np.ndarray:
+    """``total + stack[0] + stack[1] + ...`` from left to right, or
+    ``stack[0] + stack[1] + ...`` without a total: starting from the first
+    sample, not from zeros, keeps signed zeros.  ``np.cumsum`` adds in
+    order; ``np.sum`` over the sample axis would pair the terms up."""
+    if total is not None:
+        stack = np.concatenate([total[None], stack])
+    return np.cumsum(stack, axis=0)[-1]
 
 
 def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -479,6 +542,7 @@ def train(
             f"[{labels.min()}, {labels.max()}]"
         )
     test_arrays = _dataset_arrays(test_dataset) if test_dataset is not None else None
+    step = min(tc.batch_size, _slice_size(pipeline, samples.shape[2] * samples.shape[3]))
 
     rng = seeded_rng(tc.seed)
     params = init_params(pipeline, rng)
@@ -491,6 +555,10 @@ def train(
         best_loss = math.inf
         bad_epochs = 0
         train_mix = params.mix is not None and (stage == 2 or tc.train_mix_in_stage1)
+        # The gradient blocks the update below applies.
+        applied = ["dense_weights", "dense_bias"]
+        applied += [] if tc.freeze_stiefel else ["stiefel_tangent"]
+        applied += ["mix_weights", "mix_bias"] if train_mix else []
 
         for _ in range(tc.epochs_per_stage):
             t0 = time.perf_counter()
@@ -502,47 +570,49 @@ def train(
             correct = 0
             max_orth = params.transform.orthogonality_error()
 
-            for start in range(0, n, tc.batch_size):
+            for batch_no, start in enumerate(range(0, n, tc.batch_size), 1):
                 batch = order[start : start + tc.batch_size]
-                total: Grads | None = None
-                for idx in batch:
-                    idx = int(idx)
-                    loss, pred, tapes = forward(samples[idx], int(labels[idx]), params, pipeline)
-                    if not math.isfinite(loss):
+                # Parameters are fixed within a minibatch, so it runs in
+                # slices of stacked samples; its blocks are summed in
+                # sample order.
+                total: dict[str, np.ndarray] = {}
+                for s in range(0, len(batch), step):
+                    ids = batch[s : s + step]
+                    loss, pred, tapes = forward(samples[ids], labels[ids], params, pipeline)
+                    bad = ~np.isfinite(loss)
+                    if bad.any():
                         raise NonFiniteError(
-                            f"non-finite loss at epoch {global_epoch}, sample {idx}"
+                            f"non-finite loss at epoch {global_epoch}, "
+                            f"sample {int(ids[np.argmax(bad)])}"
                         )
-                    grads = backward(tapes, params, pipeline)
-                    losses.append(loss)
-                    correct += pred == int(labels[idx])
-                    # Sum in sample order from the first sample's gradients
-                    # (not from zeros, so signed zeros survive); only the
-                    # blocks the update below applies.
-                    if total is None:
-                        total = grads
-                        continue
-                    total.dense_weights += grads.dense_weights
-                    total.dense_bias += grads.dense_bias
-                    if not tc.freeze_stiefel:
-                        total.stiefel_tangent += grads.stiefel_tangent
-                    if train_mix:
-                        total.mix_weights += grads.mix_weights
-                        total.mix_bias += grads.mix_bias
+                    grads = backward(tapes, params, pipeline, mix=train_mix, input=False)
+                    losses.extend(loss.tolist())
+                    correct += int((pred == labels[ids]).sum())
+                    total = {k: _ordered_sum(total.get(k), getattr(grads, k)) for k in applied}
                 scale = 1.0 / len(batch)
 
                 if train_mix and lr != 0.0:
-                    params.mix.weights = params.mix.weights - lr * (total.mix_weights * scale)
-                    params.mix.bias = params.mix.bias - lr * (total.mix_bias * scale)
+                    params.mix.weights = params.mix.weights - lr * (total["mix_weights"] * scale)
+                    params.mix.bias = params.mix.bias - lr * (total["mix_bias"] * scale)
                 if not tc.freeze_stiefel:
-                    params.transform = retract_step(
-                        params.transform, total.stiefel_tangent * scale, stiefel_lr
-                    )
+                    try:
+                        params.transform = retract_step(
+                            params.transform, total["stiefel_tangent"] * scale, stiefel_lr
+                        )
+                    except SingularMatrixError as e:
+                        raise SingularMatrixError(
+                            f"retraction failed at epoch {global_epoch}, batch {batch_no}: {e}"
+                        ) from e
                 if lr != 0.0:
-                    params.head.weights = params.head.weights - lr * (total.dense_weights * scale)
-                    params.head.bias = params.head.bias - lr * (total.dense_bias * scale)
+                    params.head.weights = params.head.weights - lr * (
+                        total["dense_weights"] * scale
+                    )
+                    params.head.bias = params.head.bias - lr * (total["dense_bias"] * scale)
                 max_orth = max(max_orth, params.transform.orthogonality_error())
 
-            epoch_loss = sum(losses) / n
+            # np.cumsum adds in sample order on every Python version
+            # (sum() compensates from Python 3.12 on).
+            epoch_loss = float(np.cumsum(losses)[-1]) / n
             if epoch_loss <= best_loss - MIN_LOSS_DELTA:
                 best_loss = epoch_loss
                 bad_epochs = 0

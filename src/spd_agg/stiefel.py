@@ -66,7 +66,8 @@ class StiefelPoint:
 
 @dataclass(frozen=True)
 class TransformTape:
-    """Forward cache for one compression: input matrix, parameter snapshot, output."""
+    """Forward cache for one compression, or one per matrix of a stack:
+    input matrix, parameter snapshot, output."""
 
     k: np.ndarray
     w: StiefelPoint
@@ -75,7 +76,7 @@ class TransformTape:
 
 def _sym_input(k) -> np.ndarray:
     m = k.m if isinstance(k, SpdMatrix) else np.asarray(k, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeMismatchError(f"compression input must be square, got shape {m.shape}")
     return m
 
@@ -92,15 +93,16 @@ def stiefel_init(c: int, c_prime: int, rng: np.random.Generator) -> StiefelPoint
 
 
 def transform_forward(k, w: StiefelPoint) -> tuple[SpdMatrix, TransformTape]:
-    """Compress a symmetric matrix: Y = W^T K W, explicitly symmetrized.
+    """Compress a symmetric matrix, or each matrix of a stack along
+    leading axes: Y = W^T K W, explicitly symmetrized.
 
     For positive definite input and full-column-rank W the output is
     positive definite; orthonormal columns are full rank by construction.
     """
     km = _sym_input(k)
-    if km.shape[0] != w.rows:
+    if km.shape[-1] != w.rows:
         raise ShapeMismatchError(
-            f"input dim {km.shape[0]} does not match parameter rows {w.rows}"
+            f"input dim {km.shape[-1]} does not match parameter rows {w.rows}"
         )
     y = SpdMatrix(matmul(matmul(w.w.T, km), w.w))
     return y, TransformTape(k=km, w=w, y=y)
@@ -108,10 +110,9 @@ def transform_forward(k, w: StiefelPoint) -> tuple[SpdMatrix, TransformTape]:
 
 def _check_grad_y(tape: TransformTape, grad_y: np.ndarray) -> np.ndarray:
     grad_y = np.asarray(grad_y, dtype=np.float64)
-    cp = tape.w.cols
-    if grad_y.shape != (cp, cp):
+    if grad_y.shape != tape.y.m.shape:
         raise ShapeMismatchError(
-            f"upstream gradient shape {grad_y.shape} does not match output shape {(cp, cp)}"
+            f"upstream gradient shape {grad_y.shape} does not match output shape {tape.y.m.shape}"
         )
     return grad_y
 
@@ -127,19 +128,20 @@ def transform_backward_param(tape: TransformTape, grad_y: np.ndarray) -> np.ndar
     """Euclidean partial dL/dW = K^T W G + K W G^T, before any manifold
     projection."""
     g = _check_grad_y(tape, grad_y)
-    return matmul(tape.k.T, matmul(tape.w.w, g)) + matmul(tape.k, matmul(tape.w.w, g.T))
+    k_t, g_t = tape.k.swapaxes(-1, -2), g.swapaxes(-1, -2)
+    return matmul(k_t, matmul(tape.w.w, g)) + matmul(tape.k, matmul(tape.w.w, g_t))
 
 
 def tangent_project(w: StiefelPoint, euclid_grad: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at W.
 
     grad_tan = G - W G^T W; the tangency condition is that W^T grad_tan
-    is skew-symmetric.
+    is skew-symmetric.  A stack of gradients is projected one by one.
     """
     g = np.asarray(euclid_grad, dtype=np.float64)
-    if g.shape != w.w.shape:
+    if g.shape[-2:] != w.w.shape:
         raise ShapeMismatchError(f"gradient shape {g.shape} does not match point shape {w.w.shape}")
-    return g - matmul(w.w, matmul(g.T, w.w))
+    return g - matmul(w.w, matmul(g.swapaxes(-1, -2), w.w))
 
 
 def retract_step(w: StiefelPoint, manifold_grad: np.ndarray, lr: float) -> StiefelPoint:

@@ -5,12 +5,16 @@ one PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spd_agg
 from spd_agg import (
     FtsDataset,
     FtsParseError,
@@ -266,6 +270,25 @@ def test_criterion_09_training_determinism(benchmark_files, capsys):
         report(9, replay and golden,
                f"two same-seed training runs wrote bit-identical metrics files ({replay}), "
                f"byte-equal to {GOLDEN_METRICS.name} ({golden})")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_metrics_at_blas_thread_count(benchmark_files, threads):
+    """The seed-7 criterion-08 run, in a fresh process with OpenBLAS
+    limited to ``threads`` threads, writes the golden metrics bytes."""
+    root, train_path, test_path, config, _ = benchmark_files
+    metrics = root / f"threads{threads}.jsonl"
+    src = str(Path(spd_agg.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from spd_agg.cli import main; sys.exit(main())",
+         "train", "--data", str(train_path), "--test", str(test_path), "--config", str(config),
+         "--out-metrics", str(metrics), "--out-ckpt", str(root / f"threads{threads}.ftsp")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    assert metrics.read_bytes() == GOLDEN_METRICS.read_bytes()
 
 
 def test_criterion_10_fts_robustness(tmp_path):

@@ -203,6 +203,19 @@ class TestCheckpointValidation:
         assert err.startswith("error:") and message in err
 
 
+def test_semantic_checkpoint_error_has_no_byte_offset(small_run, tmp_path, capsys):
+    data, _ = small_run
+    pipeline = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+    ckpt = tmp_path / "model.ftsp"
+    save_checkpoint(ckpt, init_params(pipeline, seeded_rng(2)), pipeline)
+    blocks = checkpoint_read(ckpt)
+    _non_orthonormal_w(blocks)
+    checkpoint_write(ckpt, blocks)
+    code, _, err = run(capsys, ["eval", "--data", str(data), "--ckpt", str(ckpt)])
+    assert code == 1 and "orthonormal" in err
+    assert "at byte" not in err
+
+
 class TestGradcheck:
     def test_default_config_passes(self, capsys):
         code, out, _ = run(capsys, ["gradcheck"])

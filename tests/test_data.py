@@ -74,6 +74,15 @@ class TestFtsRoundTrip:
         with pytest.raises(FtsParseError, match="magic"):
             fts_read(tmp_path / "bad.fts")
 
+    def test_bad_magic_names_its_offset(self, tmp_path):
+        path = tmp_path / "bad.fts"
+        fts_write(random_dataset(seeded_rng(3)), path)
+        blob = bytearray(path.read_bytes())
+        blob[0] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FtsParseError, match=r"bad magic .* \(at byte 0\)$"):
+            fts_read(path)
+
     def test_header_fuzz_sample(self, tmp_path):
         ds = random_dataset(seeded_rng(4))
         path = tmp_path / "ds.fts"

@@ -7,6 +7,7 @@ from spd_agg import (
     dense_logits,
     dense_softmax_ce,
     l2_normalize,
+    matmul,
     l2_normalize_backward,
     power_normalize,
     power_normalize_backward,
@@ -225,6 +226,41 @@ class TestHeadEndToEnd:
             analytic = vectorize_backward(dv, 4)
             assert rel_err(analytic, numeric) < 1e-5
         assert checked == 5
+
+    def test_logits_match_sequential_product_bit_for_bit(self):
+        # The ordered cumsum equals the zero-started rank-1 product, also
+        # where every product is -0.0 (the sum is then +0.0).
+        rng = seeded_rng(11)
+        for _ in range(50):
+            k, d = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+            weights = rng.standard_normal((k, d)) * rng.integers(0, 2, size=(k, d))
+            weights[0] = -0.0
+            params = DenseParams(weights=weights, bias=np.full(k, -0.0))
+            v = np.abs(rng.standard_normal(d))  # row 0's products are all -0.0
+            v[rng.integers(d)] = 0.0
+            v[: int(rng.integers(d))] *= -1.0
+            want = matmul(weights, v[:, None])[:, 0] + params.bias
+            got = dense_logits(v, params)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_stacked_head_matches_each_vector(self):
+        rng = seeded_rng(12)
+        ys = np.array([random_symmetric(rng, 4) for _ in range(5)])
+        params = DenseParams(weights=rng.standard_normal((3, 10)), bias=rng.standard_normal(3))
+        labels = rng.integers(3, size=5)
+        v = vectorize(ys)
+        out, tape = l2_normalize(power_normalize(v)[0])
+        loss, grads = softmax_ce(out, params, labels)
+        back = l2_normalize_backward(tape, grads.v)
+        for i in range(5):
+            v_i = vectorize(ys[i])
+            out_i, tape_i = l2_normalize(power_normalize(v_i)[0])
+            loss_i, grads_i = softmax_ce(out_i, params, int(labels[i]))
+            assert np.array_equal(v[i], v_i) and np.array_equal(out[i], out_i)
+            assert loss[i] == loss_i
+            assert np.array_equal(grads.weights[i], grads_i.weights)
+            assert np.array_equal(back[i], l2_normalize_backward(tape_i, grads_i.v))
 
     def test_logits_are_affine(self):
         rng = seeded_rng(10)

@@ -43,6 +43,22 @@ class TestMatmul:
             right = matmul(a, matmul(b, c))
             assert np.linalg.norm(left - right) <= 1e-9 * max(1.0, np.linalg.norm(left))
 
+    def test_stacked_product_matches_each_matrix_exactly(self):
+        rng = seeded_rng(40)
+        a = rng.standard_normal((5, 4, 6))
+        b = rng.standard_normal((5, 6, 3))
+        w = rng.standard_normal((6, 2))
+        stacked = matmul(a, b)
+        broadcast = matmul(a, w)
+        assert stacked.shape == (5, 4, 3) and broadcast.shape == (5, 4, 2)
+        for i in range(5):
+            assert np.array_equal(stacked[i], matmul(a[i], b[i]))
+            assert np.array_equal(broadcast[i], matmul(a[i], w))
+
+    def test_stacked_dimension_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="3x4.*5x2"):
+            matmul(np.ones((2, 3, 4)), np.ones((2, 5, 2)))
+
     def test_output_finite(self):
         rng = seeded_rng(4)
         out = matmul(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))

@@ -10,6 +10,7 @@ from spd_agg import (
     NormFlags,
     PipelineConfig,
     ShapeMismatchError,
+    SingularMatrixError,
     TrainConfig,
     backward,
     certify,
@@ -295,17 +296,40 @@ class TestTrain:
             )
 
     def test_nan_loss_aborts(self, monkeypatch):
+        # Poison the loss from the second sample of each slice on: the
+        # message names the first poisoned sample in batch order.
         ds = tiny_dataset(seed=5)
         pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
-        true_forward = network_mod.forward
+        true_loss = network_mod.dense_softmax_ce
 
-        def poisoned(x, label, params, config, frozen_sigma=None):
-            loss, pred, tapes = true_forward(x, label, params, config, frozen_sigma)
-            return float("nan"), pred, tapes
+        def poisoned(v, logits, params, label):
+            loss, grads = true_loss(v, logits, params, label)
+            loss = np.array(loss, dtype=np.float64)
+            loss[1:] = np.nan
+            return loss, grads
 
-        monkeypatch.setattr(network_mod, "forward", poisoned)
-        with pytest.raises(NonFiniteError, match="non-finite loss"):
+        monkeypatch.setattr(network_mod, "dense_softmax_ce", poisoned)
+        rng = seeded_rng(0)
+        init_params(pipe, rng)
+        second = int(rng.permutation(len(ds.labels))[1])
+        with pytest.raises(NonFiniteError, match=f"non-finite loss at epoch 1, sample {second}$"):
             network_mod.train(ds, pipe, TrainConfig(epochs_per_stage=1, seed=0, batch_size=4))
+
+    def test_singular_retraction_names_epoch_and_batch(self, monkeypatch):
+        ds = tiny_dataset(seed=5)  # 16 samples: 4 batches of 4 per epoch
+        pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+        true_retract = network_mod.retract_step
+        calls = []
+
+        def failing(w, grad, lr):
+            calls.append(1)
+            if len(calls) == 6:
+                raise SingularMatrixError("column 2 is numerically rank deficient")
+            return true_retract(w, grad, lr)
+
+        monkeypatch.setattr(network_mod, "retract_step", failing)
+        with pytest.raises(SingularMatrixError, match="epoch 2, batch 2: column 2"):
+            network_mod.train(ds, pipe, TrainConfig(epochs_per_stage=2, seed=0, batch_size=4))
 
     def test_empty_dataset_rejected(self):
         pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
@@ -343,3 +367,105 @@ class TestConfigValidation:
     def test_decay_factor_must_exceed_one(self):
         with pytest.raises(ValueError):
             TrainConfig(decay_factor=1.0)
+
+
+#: Pipelines the batched chain must reproduce sample by sample: both
+#: aggregators, with and without mixer, matrix ReLU and normalizations.
+BATCH_PIPELINES = [
+    PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=3),
+    PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=4, num_classes=2),
+    PipelineConfig(
+        in_channels=6, mixed_channels=5, transform_dim=3, num_classes=3, aggregator="covariance"
+    ),
+    PipelineConfig(
+        in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2, aggregator="covariance",
+        use_spd_relu=True,
+    ),
+    PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2,
+                   use_spd_relu=True),
+    PipelineConfig(
+        in_channels=6, mixed_channels=5, transform_dim=3, num_classes=3,
+        normalizations=NormFlags(power=False, l2=False),
+    ),
+]
+
+GRAD_BLOCKS = (
+    "mix_weights", "mix_bias", "stiefel_euclid", "stiefel_tangent",
+    "dense_weights", "dense_bias", "input",
+)
+
+
+class TestBatchedChain:
+    @pytest.mark.parametrize("pipe", BATCH_PIPELINES)
+    @pytest.mark.parametrize("step", [1, 2, 3, 7])
+    def test_slices_match_single_samples(self, pipe, step):
+        rng = seeded_rng(20)
+        xs = rng.standard_normal((7, pipe.in_channels, 3, 3))
+        labels = rng.integers(pipe.num_classes, size=7)
+        params = init_params(pipe, rng, random_head=True)
+
+        # B = 1 calls, gradients summed in sample order from the first.
+        single_losses, single_logits, single_total = [], [], {}
+        for x, label in zip(xs, labels):
+            loss, _, tapes = forward(x, int(label), params, pipe)
+            grads = backward(tapes, params, pipe)
+            single_losses.append(loss)
+            single_logits.append(tapes.logits)
+            for name in GRAD_BLOCKS:
+                block = getattr(grads, name)
+                if block is None:
+                    continue
+                if name in single_total:
+                    single_total[name] += block
+                else:
+                    single_total[name] = block.copy()
+
+        losses, logits, total = [], [], {}
+        for start in range(0, 7, step):
+            loss, _, tapes = forward(xs[start:start + step], labels[start:start + step],
+                                     params, pipe)
+            grads = backward(tapes, params, pipe)
+            losses.extend(loss)
+            logits.extend(tapes.logits)
+            for name in GRAD_BLOCKS:
+                if getattr(grads, name) is not None:
+                    total[name] = network_mod._ordered_sum(total.get(name), getattr(grads, name))
+
+        assert np.array_equal(losses, single_losses)
+        assert np.array_equal(logits, single_logits)
+        assert total.keys() == single_total.keys()
+        for name in total:
+            assert np.array_equal(total[name], single_total[name]), name
+
+    def test_skipped_blocks_leave_the_rest_unchanged(self):
+        rng = seeded_rng(21)
+        xs = rng.standard_normal((4, 6, 3, 3))
+        params = init_params(SMALL, rng, random_head=True)
+        _, _, tapes = forward(xs, np.array([0, 1, 2, 0]), params, SMALL)
+        full = backward(tapes, params, SMALL)
+        for mix in (True, False):
+            part = backward(tapes, params, SMALL, mix=mix, input=False)
+            assert part.input is None
+            for name in GRAD_BLOCKS[:-1]:
+                block = getattr(part, name)
+                if name.startswith("mix") and not mix:
+                    assert block is None
+                else:
+                    assert np.array_equal(block, getattr(full, name)), name
+
+    @pytest.mark.parametrize("pipe", BATCH_PIPELINES[:3])
+    def test_training_independent_of_slice_size(self, monkeypatch, pipe):
+        ds = tiny_dataset(seed=3)
+        tc = TrainConfig(epochs_per_stage=2, seed=4, batch_size=7, train_mix_in_stage1=True)
+        widest = max(pipe.in_channels, pipe.feature_channels) * 9
+        runs = []
+        for step in (1, 3, 7):
+            monkeypatch.setattr(network_mod, "SLICE_VALUES", step * widest)
+            params, history = train(ds, pipe, tc, test_dataset=ds)
+            runs.append(([h.to_json_line() for h in history], params))
+        for lines, params in runs[1:]:
+            assert lines == runs[0][0]
+            assert np.array_equal(params.transform.w, runs[0][1].transform.w)
+            assert np.array_equal(params.head.weights, runs[0][1].head.weights)
+            if params.mix is not None:
+                assert np.array_equal(params.mix.weights, runs[0][1].mix.weights)
