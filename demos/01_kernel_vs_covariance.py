@@ -36,8 +36,8 @@ print(f"  covariance min eigenvalue: {certify(cov):.3e}  (rank <= N-1 = 3: singu
 
 # --- kernel entries are bounded similarities -------------------------------
 print("\nkernel entries lie in (0, 1], diagonal exactly 1:")
-print(f"  min entry {kernel.m.min():.4f}, max entry {kernel.m.max():.4f}, "
-      f"max |diag - 1| = {np.abs(np.diag(kernel.m) - 1).max():.1e}")
+print(f"  min entry {kernel.min():.4f}, max entry {kernel.max():.4f}, "
+      f"max |diag - 1| = {np.abs(np.diag(kernel) - 1).max():.1e}")
 
 # --- the bandwidth adapts to scale ------------------------------------------
 x_small = rng.standard_normal((6, 3, 3))

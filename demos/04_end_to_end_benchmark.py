@@ -15,7 +15,7 @@ CLI equivalent:
         --seed 7 --out /tmp/bench.fts
     spd-agg train --data train.fts --test test.fts --config config.json
 
-Run:  python3 demos/04_end_to_end_benchmark.py    (~15 s)
+Run:  python3 demos/04_end_to_end_benchmark.py    (~3 s)
 """
 
 import numpy as np

@@ -3,10 +3,9 @@ positive definite matrices, with a learnable manifold-constrained
 compression and hand-derived gradients throughout."""
 
 from .errors import FtsParseError, NonFiniteError, ShapeMismatchError, SingularMatrixError
-from .linalg import QrFactors, frobenius, matmul, qr_reduced, seeded_rng, sym_eigvals
+from .linalg import QrFactors, frobenius, matmul, qr_reduced, seeded_rng, sym_eigvals, symmetrize
 from .kernel import (
     KernelTape,
-    SpdMatrix,
     certify,
     compute_sigma,
     covariance_backward,

@@ -186,8 +186,7 @@ def cmd_certify(args) -> int:
     for _ in range(args.trials):
         x = rng.standard_normal((args.channels, args.spatial, args.spatial))
         if args.aggregator == "kernel":
-            spd, _ = kernel_forward(x)
-            aggregate = spd
+            aggregate, _ = kernel_forward(x)
         else:
             aggregate = covariance_forward(x)
         w = stiefel_init(args.channels, transform_dim, rng)

@@ -257,7 +257,10 @@ def checkpoint_read(path) -> dict[str, np.ndarray]:
         off += 4
         if len(buf) < off + name_len + 8:
             raise FtsParseError("truncated block header", offset=off)
-        name = buf[off : off + name_len].decode("utf-8", errors="strict")
+        try:
+            name = buf[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FtsParseError(f"block name is not UTF-8: {e.reason}", offset=off) from e
         off += name_len
         rows, cols = struct.unpack_from("<II", buf, off)
         off += 8
@@ -325,44 +328,71 @@ def _pipeline_config(block: np.ndarray) -> PipelineConfig:
             f"pipeline_config relu, aggregator and normalization codes must be 0 or 1, "
             f"got {cfg[4:].tolist()}"
         )
-    return PipelineConfig(
-        in_channels=int(cfg[0]),
-        mixed_channels=int(cfg[1]),
-        transform_dim=int(cfg[2]),
-        num_classes=int(cfg[3]),
-        use_spd_relu=bool(cfg[4]),
-        aggregator="covariance" if cfg[5] else "kernel",
-        normalizations=NormFlags(power=bool(cfg[6]), l2=bool(cfg[7])),
-    )
+    try:
+        return PipelineConfig(
+            in_channels=int(cfg[0]),
+            mixed_channels=int(cfg[1]),
+            transform_dim=int(cfg[2]),
+            num_classes=int(cfg[3]),
+            use_spd_relu=bool(cfg[4]),
+            aggregator="covariance" if cfg[5] else "kernel",
+            normalizations=NormFlags(power=bool(cfg[6]), l2=bool(cfg[7])),
+        )
+    except ValueError as e:
+        raise FtsParseError(f"pipeline_config is not a valid pipeline: {e}") from e
 
 
-def _row(blocks: dict[str, np.ndarray], name: str) -> np.ndarray:
-    """The one row of a vector block (a bias)."""
-    if blocks[name].shape[0] != 1:
-        raise FtsParseError(f"block {name!r} must have 1 row, got {blocks[name].shape[0]}")
-    return blocks[name][0]
+def _block_shapes(pipeline: PipelineConfig) -> dict[str, tuple[int, int]]:
+    """The parameter blocks :func:`save_checkpoint` writes for ``pipeline``,
+    with their shapes."""
+    shapes = {}
+    if pipeline.mixed_channels:
+        shapes["mix.weights"] = (pipeline.mixed_channels, pipeline.in_channels)
+        shapes["mix.bias"] = (1, pipeline.mixed_channels)
+    shapes["stiefel.w"] = (pipeline.feature_channels, pipeline.transform_dim)
+    shapes["dense.weights"] = (pipeline.num_classes, pipeline.head_dim)
+    shapes["dense.bias"] = (1, pipeline.num_classes)
+    return shapes
+
+
+def _dims(rows: int, cols: int) -> str:
+    return f"{rows} row{'s' * (rows != 1)} x {cols} column{'s' * (cols != 1)}"
 
 
 def load_checkpoint(path) -> tuple[Params, PipelineConfig]:
     """Rebuild (params, pipeline config) from a checkpoint file.
 
-    Raises :class:`FtsParseError` for a missing block, a malformed
-    configuration or bias block, or a compression matrix whose columns
-    are not orthonormal.
+    Raises :class:`FtsParseError` for a malformed container or
+    configuration, a missing or unexpected block, a block whose shape
+    does not match the configuration, a non-finite parameter, or a
+    compression matrix whose columns are not orthonormal.
     """
     blocks = checkpoint_read(path)
-    try:
-        pipeline = _pipeline_config(blocks["pipeline_config"])
-        mix = None
-        if pipeline.mixed_channels:
-            mix = MixParams(weights=blocks["mix.weights"], bias=_row(blocks, "mix.bias"))
-        params = Params(
-            mix=mix,
-            transform=StiefelPoint(blocks["stiefel.w"]),
-            head=DenseParams(weights=blocks["dense.weights"], bias=_row(blocks, "dense.bias")),
-        )
-    except KeyError as e:
-        raise FtsParseError(f"checkpoint is missing block {e.args[0]!r}") from e
+    if "pipeline_config" not in blocks:
+        raise FtsParseError("checkpoint is missing block 'pipeline_config'")
+    pipeline = _pipeline_config(blocks.pop("pipeline_config"))
+    shapes = _block_shapes(pipeline)
+    for name, shape in shapes.items():
+        if name not in blocks:
+            raise FtsParseError(f"checkpoint is missing block {name!r}")
+        if blocks[name].shape != shape:
+            raise FtsParseError(
+                f"block {name!r} must be {_dims(*shape)} under the pipeline config, "
+                f"got {_dims(*blocks[name].shape)}"
+            )
+        if not np.isfinite(blocks[name]).all():
+            raise FtsParseError(f"block {name!r} contains non-finite values")
+    extra = sorted(set(blocks) - set(shapes))
+    if extra:
+        raise FtsParseError(f"unexpected blocks {extra}")
+    mix = None
+    if pipeline.mixed_channels:
+        mix = MixParams(weights=blocks["mix.weights"], bias=blocks["mix.bias"][0])
+    params = Params(
+        mix=mix,
+        transform=StiefelPoint(blocks["stiefel.w"]),
+        head=DenseParams(weights=blocks["dense.weights"], bias=blocks["dense.bias"][0]),
+    )
     orth = params.transform.orthogonality_error()
     if not orth <= CKPT_ORTHO_TOL:
         raise FtsParseError(

@@ -96,7 +96,7 @@ def vectorize_backward(grad_v: np.ndarray, c_prime: int) -> np.ndarray:
 def power_normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise signed square root; returns (output, tape)."""
     v = np.asarray(v, dtype=np.float64)
-    return np.sign(v) * np.sqrt(np.abs(v)), v.copy()
+    return np.sign(v) * np.sqrt(np.abs(v)), v
 
 
 def power_normalize_backward(tape: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

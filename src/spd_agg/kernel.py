@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError
-from .linalg import matmul, sym_eigvals
+from .linalg import matmul, sym_eigvals, symmetrize
 
 __all__ = [
-    "SpdMatrix",
     "KernelTape",
     "compute_sigma",
     "kernel_forward",
@@ -38,43 +37,13 @@ SIGMA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class SpdMatrix:
-    """Square matrix, or stack of square matrices along leading axes, made
-    bit-for-bit symmetric on construction.
-
-    Positive definiteness is *not* verified here; :func:`certify` returns
-    the smallest eigenvalue when a caller needs the certificate.
-    """
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
-        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-            raise ShapeMismatchError(f"SpdMatrix needs a square matrix, got shape {m.shape}")
-        object.__setattr__(self, "m", (m + m.swapaxes(-1, -2)) / 2.0)
-
-    @property
-    def dim(self) -> int:
-        return self.m.shape[-1]
-
-
-@dataclass(frozen=True)
 class KernelTape:
     """Forward cache for one kernel aggregation, or one per sample of a
     stack: maps, output, bandwidth."""
 
     m: np.ndarray
-    k: SpdMatrix
+    k: np.ndarray
     sigma: float | np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.sigma) <= 0.0):
-            raise ValueError(f"bandwidth must be positive, got {self.sigma}")
-        if self.k.dim != self.m.shape[-2]:
-            raise ShapeMismatchError(
-                f"kernel dim {self.k.dim} does not match {self.m.shape[-2]} feature maps"
-            )
 
 
 def as_feature_matrix(x) -> np.ndarray:
@@ -115,7 +84,7 @@ def compute_sigma(m) -> float | np.ndarray:
     return np.maximum(mean, SIGMA_FLOOR)
 
 
-def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[SpdMatrix, KernelTape]:
+def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarray, KernelTape]:
     """Gaussian-kernel Gram matrix between the feature maps of ``x``.
 
     K_ij = exp(-||f_i - f_j||^2 / (2 sigma^2)) computed densely through
@@ -151,7 +120,7 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[SpdMatri
     # kernel never exceeds 1.
     sq_dists = np.maximum(sq_norms[..., :, None] + sq_norms[..., None, :] - 2.0 * gram, 0.0)
     scale = np.asarray(2.0 * sigma * sigma)[..., None, None]
-    k = SpdMatrix(np.exp(-sq_dists / scale))
+    k = symmetrize(np.exp(-sq_dists / scale))
     return k, KernelTape(m=m, k=k, sigma=sigma)
 
 
@@ -168,12 +137,12 @@ def kernel_backward(tape: KernelTape, grad_k: np.ndarray) -> np.ndarray:
     sample.  Returns dL/dM with the shape of ``tape.m``.
     """
     grad_k = np.asarray(grad_k, dtype=np.float64)
-    if grad_k.shape != tape.k.m.shape:
+    if grad_k.shape != tape.k.shape:
         raise ShapeMismatchError(
-            f"upstream gradient shape {grad_k.shape} does not match kernel shape {tape.k.m.shape}"
+            f"upstream gradient shape {grad_k.shape} does not match kernel shape {tape.k.shape}"
         )
     sq_sigma = np.asarray(tape.sigma * tape.sigma)[..., None, None]
-    coeff = (grad_k + grad_k.swapaxes(-1, -2)) * tape.k.m / sq_sigma
+    coeff = (grad_k + grad_k.swapaxes(-1, -2)) * tape.k / sq_sigma
     out = np.empty_like(tape.m)
     for i in np.ndindex(tape.m.shape[:-2]):
         m = tape.m[i]
@@ -186,9 +155,8 @@ def covariance_forward(x) -> np.ndarray:
     """Sample covariance of the per-position channel vectors.
 
     The columns of the reshaped map matrix are the N local features;
-    normalization is by N - 1.  Returns a plain symmetric PSD matrix
-    (a stack of them for a (B, C, H, W) input) — deliberately not an
-    :class:`SpdMatrix`, since it is singular whenever C > N - 1.
+    normalization is by N - 1.  Returns a symmetric PSD matrix (a stack
+    of them for a (B, C, H, W) input), singular whenever C > N - 1.
     """
     m = as_feature_matrix(x)
     n = m.shape[-1]
@@ -197,8 +165,7 @@ def covariance_forward(x) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFiniteError("covariance input contains non-finite values")
     centered = m - m.mean(axis=-1, keepdims=True)
-    cov = matmul(centered, centered.swapaxes(-1, -2)) / (n - 1)
-    return (cov + cov.swapaxes(-1, -2)) / 2.0
+    return symmetrize(matmul(centered, centered.swapaxes(-1, -2)) / (n - 1))
 
 
 def covariance_backward(m: np.ndarray, grad_cov: np.ndarray) -> np.ndarray:
@@ -218,5 +185,4 @@ def covariance_backward(m: np.ndarray, grad_cov: np.ndarray) -> np.ndarray:
 
 def certify(k) -> float:
     """Smallest eigenvalue of an aggregated matrix (definiteness audit)."""
-    m = k.m if isinstance(k, SpdMatrix) else np.asarray(k, dtype=np.float64)
-    return float(sym_eigvals(m)[0])
+    return float(sym_eigvals(k)[0])

@@ -14,7 +14,15 @@ import numpy as np
 
 from .errors import ShapeMismatchError, SingularMatrixError
 
-__all__ = ["QrFactors", "matmul", "qr_reduced", "sym_eigvals", "seeded_rng", "frobenius"]
+__all__ = [
+    "QrFactors",
+    "matmul",
+    "symmetrize",
+    "qr_reduced",
+    "sym_eigvals",
+    "seeded_rng",
+    "frobenius",
+]
 
 #: |r_jj| below this multiple of ||a||_F marks a rank-deficient column.
 QR_RANK_TOL = 1e-12
@@ -58,6 +66,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(k):
         out += a[..., :, i : i + 1] * b[..., i : i + 1, :]
     return out
+
+
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2 on the last two axes: bit-for-bit symmetric, since
+    the two mirrored sums add the same two values."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def qr_reduced(a: np.ndarray) -> QrFactors:

@@ -351,15 +351,13 @@ def _logits(
         _assert_finite("mixed feature tensor", feats)
 
     if config.aggregator == "kernel":
-        spd, kernel_tape = kernel_forward(feats, sigma=frozen_sigma)
-        aggregate = spd.m
+        aggregate, kernel_tape = kernel_forward(feats, sigma=frozen_sigma)
     else:
         kernel_tape = None
         aggregate = covariance_forward(feats)
     _assert_finite("aggregated matrix", aggregate)
 
-    y_spd, transform_tape = transform_forward(aggregate, params.transform)
-    y = y_spd.m
+    y, transform_tape = transform_forward(aggregate, params.transform)
     relu_mask = None
     if config.use_spd_relu:
         relu_mask = spd_relu_mask(y)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .kernel import SpdMatrix
-from .linalg import frobenius, matmul, qr_reduced
+from .linalg import frobenius, matmul, qr_reduced, symmetrize
 
 __all__ = [
     "StiefelPoint",
@@ -67,18 +66,10 @@ class StiefelPoint:
 @dataclass(frozen=True)
 class TransformTape:
     """Forward cache for one compression, or one per matrix of a stack:
-    input matrix, parameter snapshot, output."""
+    input matrix and parameter snapshot."""
 
     k: np.ndarray
     w: StiefelPoint
-    y: SpdMatrix
-
-
-def _sym_input(k) -> np.ndarray:
-    m = k.m if isinstance(k, SpdMatrix) else np.asarray(k, dtype=np.float64)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ShapeMismatchError(f"compression input must be square, got shape {m.shape}")
-    return m
 
 
 def stiefel_init(c: int, c_prime: int, rng: np.random.Generator) -> StiefelPoint:
@@ -92,27 +83,28 @@ def stiefel_init(c: int, c_prime: int, rng: np.random.Generator) -> StiefelPoint
     return StiefelPoint(qr_reduced(rng.standard_normal((c, c_prime))).q)
 
 
-def transform_forward(k, w: StiefelPoint) -> tuple[SpdMatrix, TransformTape]:
+def transform_forward(k, w: StiefelPoint) -> tuple[np.ndarray, TransformTape]:
     """Compress a symmetric matrix, or each matrix of a stack along
     leading axes: Y = W^T K W, explicitly symmetrized.
 
     For positive definite input and full-column-rank W the output is
     positive definite; orthonormal columns are full rank by construction.
     """
-    km = _sym_input(k)
-    if km.shape[-1] != w.rows:
-        raise ShapeMismatchError(
-            f"input dim {km.shape[-1]} does not match parameter rows {w.rows}"
-        )
-    y = SpdMatrix(matmul(matmul(w.w.T, km), w.w))
-    return y, TransformTape(k=km, w=w, y=y)
+    k = np.asarray(k, dtype=np.float64)
+    if k.ndim < 2 or k.shape[-1] != k.shape[-2]:
+        raise ShapeMismatchError(f"compression input must be square, got shape {k.shape}")
+    if k.shape[-1] != w.rows:
+        raise ShapeMismatchError(f"input dim {k.shape[-1]} does not match parameter rows {w.rows}")
+    y = symmetrize(matmul(matmul(w.w.T, k), w.w))
+    return y, TransformTape(k=k, w=w)
 
 
 def _check_grad_y(tape: TransformTape, grad_y: np.ndarray) -> np.ndarray:
     grad_y = np.asarray(grad_y, dtype=np.float64)
-    if grad_y.shape != tape.y.m.shape:
+    want = tape.k.shape[:-2] + (tape.w.cols, tape.w.cols)
+    if grad_y.shape != want:
         raise ShapeMismatchError(
-            f"upstream gradient shape {grad_y.shape} does not match output shape {tape.y.m.shape}"
+            f"upstream gradient shape {grad_y.shape} does not match output shape {want}"
         )
     return grad_y
 
@@ -125,11 +117,15 @@ def transform_backward_input(tape: TransformTape, grad_y: np.ndarray) -> np.ndar
 
 
 def transform_backward_param(tape: TransformTape, grad_y: np.ndarray) -> np.ndarray:
-    """Euclidean partial dL/dW = K^T W G + K W G^T, before any manifold
-    projection."""
+    """Euclidean partial dL/dW = 2 K W G, before any manifold projection.
+
+    Requires K and G exactly symmetric, as every producer makes them
+    (the aggregators, :func:`~spd_agg.head.vectorize_backward` and the
+    ReLU mask); the general K^T W G + K W G^T then has two bit-identical
+    terms.
+    """
     g = _check_grad_y(tape, grad_y)
-    k_t, g_t = tape.k.swapaxes(-1, -2), g.swapaxes(-1, -2)
-    return matmul(k_t, matmul(tape.w.w, g)) + matmul(tape.k, matmul(tape.w.w, g_t))
+    return 2.0 * matmul(tape.k, matmul(tape.w.w, g))
 
 
 def tangent_project(w: StiefelPoint, euclid_grad: np.ndarray) -> np.ndarray:
@@ -175,11 +171,9 @@ def spd_relu(y) -> np.ndarray:
     untouched.  Whether definiteness itself always survives is audited
     empirically in the tests, not assumed.
     """
-    m = y.m if isinstance(y, SpdMatrix) else np.asarray(y, dtype=np.float64)
-    return np.maximum(m, 0.0)
+    return np.maximum(np.asarray(y, dtype=np.float64), 0.0)
 
 
 def spd_relu_mask(y) -> np.ndarray:
     """Backward mask: 1 where the entry was strictly positive, else 0."""
-    m = y.m if isinstance(y, SpdMatrix) else np.asarray(y, dtype=np.float64)
-    return (m > 0.0).astype(np.float64)
+    return (np.asarray(y) > 0.0).astype(np.float64)

@@ -30,6 +30,7 @@ from spd_agg import (
     seeded_rng,
     split_by_class,
     stiefel_init,
+    symmetrize,
     synth_generate,
     tangent_project,
     transform_forward,
@@ -37,7 +38,6 @@ from spd_agg import (
     vectorize_backward,
 )
 from spd_agg.cli import DEFAULT_GRADCHECK_PIPELINE, main
-from spd_agg.kernel import SpdMatrix
 from spd_agg.network import forward
 from _oracles import central_diff, kernel_entrywise, covariance_inner_products, rel_err
 
@@ -56,7 +56,7 @@ def test_criterion_01_kernel_forward_equivalence():
         n = int(rng.integers(2, 65))
         m = rng.standard_normal((c, n)) * float(rng.uniform(0.2, 3.0))
         k, tape = kernel_forward(m)
-        worst = max(worst, float(np.abs(k.m - kernel_entrywise(m, tape.sigma)).max()))
+        worst = max(worst, float(np.abs(k - kernel_entrywise(m, tape.sigma)).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 10.0
     report(1, ok, f"dense vs entrywise kernel: max abs diff {worst:.2e} "
@@ -135,7 +135,7 @@ def test_criterion_05_compression_preserves_definiteness():
     positive = 0
     for trial in range(100):
         base = rng.standard_normal((16, 16))
-        k = SpdMatrix(base @ base.T + 0.5 * np.eye(16))
+        k = symmetrize(base @ base.T + 0.5 * np.eye(16))
         w = stiefel_init(16, dims[trial % 3], rng)
         y, _ = transform_forward(k, w)
         positive += certify(y) > 0.0

@@ -176,6 +176,41 @@ def _non_orthonormal_w(blocks):
     blocks["stiefel.w"] = 5.0 * np.ones_like(blocks["stiefel.w"])
 
 
+def _three_class_head(blocks):
+    blocks["dense.weights"] = np.zeros((3, blocks["dense.weights"].shape[1]))
+    blocks["dense.bias"] = np.zeros((1, 3))
+
+
+def _narrow_w_and_head(blocks):
+    # An orthonormal 5x2 W with a head sized for it, under transform_dim=3.
+    blocks["stiefel.w"] = blocks["stiefel.w"][:, :2]
+    blocks["dense.weights"] = blocks["dense.weights"][:, :3]
+
+
+def _no_input_channels(blocks):
+    blocks["pipeline_config"][0, 0] = 0.0
+
+
+def _transform_dim_above_channels(blocks):
+    blocks["pipeline_config"][0, 2] = 6.0
+
+
+def _wide_bias(blocks):
+    blocks["dense.bias"] = np.zeros((1, 3))
+
+
+def _transposed_w(blocks):
+    blocks["stiefel.w"] = blocks["stiefel.w"].T.copy()
+
+
+def _nan_dense_weight(blocks):
+    blocks["dense.weights"][0, 0] = np.nan
+
+
+def _extra_block(blocks):
+    blocks["spare"] = np.zeros((1, 1))
+
+
 class TestCheckpointValidation:
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -186,6 +221,14 @@ class TestCheckpointValidation:
             (_aggregator_code_two, "0 or 1"),
             (_empty_bias, "1 row"),
             (_non_orthonormal_w, "orthonormal"),
+            (_three_class_head, "must be 2 rows x 6 columns"),
+            (_narrow_w_and_head, "must be 5 rows x 3 columns"),
+            (_no_input_channels, "not a valid pipeline"),
+            (_transform_dim_above_channels, "not a valid pipeline"),
+            (_wide_bias, "must be 1 row x 2 columns"),
+            (_transposed_w, "must be 5 rows x 3 columns"),
+            (_nan_dense_weight, "'dense.weights' contains non-finite"),
+            (_extra_block, "unexpected blocks ['spare']"),
         ],
     )
     def test_bad_checkpoint_fails_cleanly(self, small_run, tmp_path, capsys, corrupt, message):

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spd_agg import (
     DenseParams,
@@ -217,6 +221,59 @@ class TestCheckpoint:
         (tmp_path / "cut.ftsp").write_bytes(blob[:-4])
         with pytest.raises(FtsParseError, match="truncated"):
             checkpoint_read(tmp_path / "cut.ftsp")
+
+    def test_non_utf8_name_rejected_at_its_offset(self, tmp_path):
+        path = tmp_path / "name.ftsp"
+        name = b"\xff\xfe"
+        header = b"FTSP" + struct.pack("<III", 1, 1, len(name))
+        path.write_bytes(header + name + struct.pack("<IId", 1, 1, 0.0))
+        with pytest.raises(FtsParseError, match="not UTF-8") as info:
+            checkpoint_read(path)
+        assert info.value.offset == len(header)
+
+
+def _mutations(size: int):
+    """One byte replaced, the file cut short, or one byte inserted."""
+    return st.one_of(
+        st.tuples(st.just("replace"), st.integers(0, size - 1), st.integers(0, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, size - 1), st.just(0)),
+        st.tuples(st.just("insert"), st.integers(0, size), st.integers(0, 255)),
+    )
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """A valid checkpoint's path and bytes; tests may overwrite the file."""
+    rng = seeded_rng(19)
+    pipeline = PipelineConfig(in_channels=3, mixed_channels=2, transform_dim=2, num_classes=2)
+    params = Params(
+        mix=MixParams(weights=rng.standard_normal((2, 3)), bias=rng.standard_normal(2)),
+        transform=stiefel_init(2, 2, rng),
+        head=DenseParams(weights=rng.standard_normal((2, 3)), bias=rng.standard_normal(2)),
+    )
+    path = tmp_path_factory.mktemp("mutation") / "model.ftsp"
+    save_checkpoint(path, params, pipeline)
+    return path, path.read_bytes()
+
+
+class TestCheckpointMutation:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_edited_checkpoint_loads_or_fails_cleanly(self, checkpoint_file, data):
+        path, blob = checkpoint_file
+        kind, at, byte = data.draw(_mutations(len(blob)))
+        if kind == "replace":
+            blob = blob[:at] + bytes([byte]) + blob[at + 1 :]
+        elif kind == "truncate":
+            blob = blob[:at]
+        else:
+            blob = blob[:at] + bytes([byte]) + blob[at:]
+        path.write_bytes(blob)
+        try:
+            loaded, cfg = load_checkpoint(path)
+        except FtsParseError:
+            return
+        assert isinstance(loaded, Params) and isinstance(cfg, PipelineConfig)
 
 
 class TestDatasetValidation:

@@ -1,0 +1,23 @@
+"""Every demo script runs to completion against this checkout's ``src/``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_exits_zero(demo):
+    run = subprocess.run(
+        [sys.executable, str(demo)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr

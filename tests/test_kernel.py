@@ -4,7 +4,6 @@ import pytest
 from spd_agg import (
     NonFiniteError,
     ShapeMismatchError,
-    SpdMatrix,
     certify,
     compute_sigma,
     covariance_backward,
@@ -47,37 +46,37 @@ class TestKernelForward:
         k, tape = kernel_forward(x)
         assert tape.sigma == pytest.approx(np.sqrt(2.0))
         # squared distance 2, bandwidth sqrt(2): off-diagonal exp(-1/2)
-        assert k.m[0, 1] == pytest.approx(np.exp(-0.5), abs=1e-12)
-        assert k.m[0, 1] == pytest.approx(0.60653, abs=1e-5)
-        assert k.m[0, 0] == 1.0 and k.m[1, 1] == 1.0
+        assert k[0, 1] == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert k[0, 1] == pytest.approx(0.60653, abs=1e-5)
+        assert k[0, 0] == 1.0 and k[1, 1] == 1.0
 
     def test_identical_maps_give_all_ones(self):
         x = np.tile(np.arange(6.0).reshape(1, 2, 3), (4, 1, 1))
         k, _ = kernel_forward(x)
-        assert np.array_equal(k.m, np.ones((4, 4)))
+        assert np.array_equal(k, np.ones((4, 4)))
 
     def test_matrix_form_matches_entrywise_loop(self):
         rng = seeded_rng(1)
         x = rng.standard_normal((8, 4, 5))
         k, tape = kernel_forward(x)
         ref = kernel_entrywise(x.reshape(8, 20), tape.sigma)
-        assert np.abs(k.m - ref).max() < 1e-12
+        assert np.abs(k - ref).max() < 1e-12
 
     def test_diagonal_is_one(self):
         rng = seeded_rng(2)
         k, _ = kernel_forward(rng.standard_normal((5, 3, 3)))
-        assert np.abs(np.diag(k.m) - 1.0).max() < 1e-12
+        assert np.abs(np.diag(k) - 1.0).max() < 1e-12
 
     def test_symmetry_is_bitwise(self):
         rng = seeded_rng(3)
         k, _ = kernel_forward(rng.standard_normal((7, 2, 4)))
-        assert np.array_equal(k.m, k.m.T)
+        assert np.array_equal(k, k.T)
 
     def test_entries_in_unit_interval(self):
         rng = seeded_rng(4)
         for _ in range(20):
             k, _ = kernel_forward(rng.standard_normal((6, 3, 3)) * rng.uniform(0.1, 5.0))
-            assert (k.m > 0.0).all() and (k.m <= 1.0).all()
+            assert (k > 0.0).all() and (k <= 1.0).all()
 
     def test_forward_equivalence_property(self):
         rng = seeded_rng(5)
@@ -86,7 +85,7 @@ class TestKernelForward:
             n = int(rng.integers(2, 20))
             m = rng.standard_normal((c, n))
             k, tape = kernel_forward(m)
-            assert np.abs(k.m - kernel_entrywise(m, tape.sigma)).max() < 1e-12
+            assert np.abs(k - kernel_entrywise(m, tape.sigma)).max() < 1e-12
 
     def test_non_finite_input_rejected(self):
         x = np.ones((3, 2, 2))
@@ -119,7 +118,7 @@ class TestKernelBackward:
         k, tape = kernel_forward(m)
         g = rng.standard_normal((6, 6))
         g = (g + g.T) / 2
-        loop = kernel_backward_loop(tape.m, k.m, tape.sigma, g)
+        loop = kernel_backward_loop(tape.m, k, tape.sigma, g)
         assert np.abs(kernel_backward(tape, g) - loop).max() < 1e-12
 
     def test_matches_finite_differences(self):
@@ -132,7 +131,7 @@ class TestKernelBackward:
 
             def loss(mm):
                 km, _ = kernel_forward(mm, sigma=tape.sigma)  # bandwidth frozen
-                return float((g * km.m).sum())
+                return float((g * km).sum())
 
             numeric = central_diff(loss, m.copy(), h=1e-5)
             analytic = kernel_backward(tape, g)
@@ -183,7 +182,7 @@ class TestCovariance:
 
 class TestCertify:
     def test_identity(self):
-        assert certify(SpdMatrix(np.eye(3))) == pytest.approx(1.0)
+        assert certify(np.eye(3)) == pytest.approx(1.0)
 
     def test_two_map_kernel_eigenvalue(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]]).reshape(2, 1, 2)
@@ -198,18 +197,6 @@ class TestCertify:
             k, _ = kernel_forward(x)
             assert certify(k) > 0.0
             assert certify(covariance_forward(x)) <= 1e-10
-
-
-class TestSpdMatrix:
-    def test_constructor_symmetrizes_bitwise(self):
-        rng = seeded_rng(15)
-        a = rng.standard_normal((5, 5))
-        s = SpdMatrix(a)
-        assert np.array_equal(s.m, s.m.T)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeMismatchError):
-            SpdMatrix(np.ones((2, 3)))
 
 
 def test_feature_stack_reshape_round_trip():

@@ -9,6 +9,7 @@ from spd_agg import (
     qr_reduced,
     seeded_rng,
     sym_eigvals,
+    symmetrize,
 )
 from _oracles import matmul_triple_loop
 
@@ -63,6 +64,15 @@ class TestMatmul:
         rng = seeded_rng(4)
         out = matmul(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
         assert np.isfinite(out).all()
+
+
+class TestSymmetrize:
+    def test_symmetrizes_bitwise(self):
+        rng = seeded_rng(15)
+        a = rng.standard_normal((5, 5))
+        s = symmetrize(a)
+        assert np.array_equal(s, s.T)
+        assert np.array_equal(s, (a + a.T) / 2.0)
 
 
 class TestQrReduced:

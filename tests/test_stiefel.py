@@ -4,7 +4,6 @@ import pytest
 from spd_agg import (
     ShapeMismatchError,
     SingularMatrixError,
-    SpdMatrix,
     StiefelPoint,
     certify,
     matmul,
@@ -14,6 +13,7 @@ from spd_agg import (
     spd_relu_mask,
     stiefel_init,
     sym_eigvals,
+    symmetrize,
     tangent_project,
     transform_backward_input,
     transform_backward_param,
@@ -45,18 +45,18 @@ class TestInit:
 
 class TestTransformForward:
     def test_identity_parameter_is_identity_map(self):
-        k = SpdMatrix(random_spd(seeded_rng(4), 5))
+        k = symmetrize(random_spd(seeded_rng(4), 5))
         y, _ = transform_forward(k, StiefelPoint(np.eye(5)))
-        assert np.array_equal(y.m, k.m)
+        assert np.array_equal(y, k)
 
     def test_identity_input_gives_gram_of_columns(self):
         w = stiefel_init(7, 3, seeded_rng(5))
-        y, _ = transform_forward(SpdMatrix(np.eye(7)), w)
-        assert np.linalg.norm(y.m - np.eye(3)) < 1e-10
+        y, _ = transform_forward(np.eye(7), w)
+        assert np.linalg.norm(y - np.eye(3)) < 1e-10
 
     def test_preserves_definiteness(self):
         rng = seeded_rng(6)
-        k = SpdMatrix(random_spd(rng, 10))
+        k = symmetrize(random_spd(rng, 10))
         w = stiefel_init(10, 4, rng)
         y, _ = transform_forward(k, w)
         assert certify(y) > 0.0
@@ -64,37 +64,41 @@ class TestTransformForward:
     def test_definiteness_property_100_random(self):
         rng = seeded_rng(7)
         for _ in range(100):
-            k = SpdMatrix(random_spd(rng, 9, jitter=0.1))
+            k = symmetrize(random_spd(rng, 9, jitter=0.1))
             w = stiefel_init(9, int(rng.integers(1, 10)), rng)
             y, _ = transform_forward(k, w)
-            assert np.array_equal(y.m, y.m.T)
+            assert np.array_equal(y, y.T)
             assert certify(y) > 0.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            transform_forward(SpdMatrix(np.eye(4)), StiefelPoint(np.eye(5)))
+            transform_forward(np.eye(4), StiefelPoint(np.eye(5)))
+
+    def test_non_square_input_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="square"):
+            transform_forward(np.ones((4, 3)), StiefelPoint(np.eye(4)))
 
 
 class TestTransformBackward:
     def test_zero_upstream(self):
         rng = seeded_rng(8)
-        _, tape = transform_forward(SpdMatrix(random_spd(rng, 6)), stiefel_init(6, 2, rng))
+        _, tape = transform_forward(symmetrize(random_spd(rng, 6)), stiefel_init(6, 2, rng))
         assert np.array_equal(transform_backward_input(tape, np.zeros((2, 2))), np.zeros((6, 6)))
         assert np.array_equal(transform_backward_param(tape, np.zeros((2, 2))), np.zeros((6, 2)))
 
     def test_identity_parameter_passes_gradient_through(self):
         rng = seeded_rng(9)
-        _, tape = transform_forward(SpdMatrix(random_spd(rng, 4)), StiefelPoint(np.eye(4)))
+        _, tape = transform_forward(symmetrize(random_spd(rng, 4)), StiefelPoint(np.eye(4)))
         g = random_symmetric(rng, 4)
         assert np.array_equal(transform_backward_input(tape, g), g)
 
     def test_symmetric_collapse_of_param_gradient(self):
         rng = seeded_rng(10)
-        k = SpdMatrix(random_spd(rng, 6))
+        k = symmetrize(random_spd(rng, 6))
         w = stiefel_init(6, 3, rng)
         _, tape = transform_forward(k, w)
         g = random_symmetric(rng, 3)
-        expected = 2.0 * matmul(matmul(k.m, w.w), g)
+        expected = 2.0 * matmul(matmul(k, w.w), g)
         assert np.abs(transform_backward_param(tape, g) - expected).max() < 1e-14
 
     def test_input_gradient_matches_finite_differences(self):
@@ -103,11 +107,11 @@ class TestTransformBackward:
             k = random_spd(rng, 6)
             w = stiefel_init(6, 3, rng)
             g = random_symmetric(rng, 3)
-            _, tape = transform_forward(SpdMatrix(k), w)
+            _, tape = transform_forward(symmetrize(k), w)
 
             def loss(km):
-                y, _ = transform_forward(SpdMatrix(km), w)
-                return float((g * y.m).sum())
+                y, _ = transform_forward(symmetrize(km), w)
+                return float((g * y).sum())
 
             numeric = central_diff(loss, k.copy(), h=1e-5)
             assert rel_err(transform_backward_input(tape, g), numeric) < 1e-6
@@ -118,18 +122,18 @@ class TestTransformBackward:
             k = random_spd(rng, 6)
             w = stiefel_init(6, 3, rng)
             g = random_symmetric(rng, 3)
-            _, tape = transform_forward(SpdMatrix(k), w)
+            _, tape = transform_forward(symmetrize(k), w)
 
             def loss(wm):
-                y, _ = transform_forward(SpdMatrix(k), StiefelPoint(wm))
-                return float((g * y.m).sum())
+                y, _ = transform_forward(symmetrize(k), StiefelPoint(wm))
+                return float((g * y).sum())
 
             numeric = central_diff(loss, w.w.copy(), h=1e-5)
             assert rel_err(transform_backward_param(tape, g), numeric) < 1e-6
 
     def test_shape_mismatch_rejected(self):
         rng = seeded_rng(13)
-        _, tape = transform_forward(SpdMatrix(random_spd(rng, 5)), stiefel_init(5, 2, rng))
+        _, tape = transform_forward(symmetrize(random_spd(rng, 5)), stiefel_init(5, 2, rng))
         with pytest.raises(ShapeMismatchError):
             transform_backward_input(tape, np.zeros((3, 3)))
 
