@@ -393,6 +393,13 @@ def load_checkpoint(path) -> tuple[Params, PipelineConfig]:
         transform=StiefelPoint(blocks["stiefel.w"]),
         head=DenseParams(weights=blocks["dense.weights"], bias=blocks["dense.bias"][0]),
     )
+    # Orthonormal columns have entries in [-1, 1]; refusing larger ones
+    # first keeps W^T W from overflowing.
+    if np.abs(params.transform.w).max() > 1.0 + CKPT_ORTHO_TOL:
+        raise FtsParseError(
+            f"stiefel.w columns are not orthonormal: an entry exceeds 1 + {CKPT_ORTHO_TOL:g} "
+            f"in magnitude"
+        )
     orth = params.transform.orthogonality_error()
     if not orth <= CKPT_ORTHO_TOL:
         raise FtsParseError(

@@ -53,17 +53,19 @@ def _triu(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def vectorize(y: np.ndarray) -> np.ndarray:
-    """Row-major upper triangle with off-diagonal entries scaled by sqrt(2).
+    """Row-major upper triangle of a symmetric matrix, with off-diagonal
+    entries scaled by sqrt(2), so the vector's norm is the matrix's
+    Frobenius norm.
 
-    Off-diagonal values are read as the mean of the two symmetric slots,
-    which pins down the adjoint exactly.  Requires near-symmetric input.
-    A stack of matrices along leading axes gives a stack of vectors.
+    Every producer in the chain hands over an exactly symmetric matrix;
+    input further than 1e-10 from symmetric is refused.  On symmetric
+    matrices :func:`vectorize_backward` is the exact adjoint.  A stack
+    of matrices along leading axes gives a stack of vectors.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim < 2 or y.shape[-1] != y.shape[-2]:
         raise ShapeMismatchError(f"vectorize input must be square, got shape {y.shape}")
-    y_t = y.swapaxes(-1, -2)
-    diff = y - y_t
+    diff = y - y.swapaxes(-1, -2)
     asym = float(np.sqrt((diff * diff).sum(axis=(-2, -1))).max())
     if asym > 1e-10:
         raise ValueError(f"vectorize input is not symmetric: ||y - y^T||_F = {asym:.3e}")
@@ -71,8 +73,7 @@ def vectorize(y: np.ndarray) -> np.ndarray:
     rows, cols, scale = _triu(c)
     # np.take keeps a stack's vectors contiguous, as a single vector is:
     # the l2 step's BLAS reductions depend on the stride.
-    avg = ((y + y_t) / 2.0).reshape(y.shape[:-2] + (c * c,))
-    return np.take(avg, rows * c + cols, axis=-1) * scale
+    return np.take(y.reshape(y.shape[:-2] + (c * c,)), rows * c + cols, axis=-1) * scale
 
 
 def vectorize_backward(grad_v: np.ndarray, c_prime: int) -> np.ndarray:

@@ -10,10 +10,11 @@ leading axis, as one batch, with the same bits per sample):
 
 Training follows plain SGD in two stages: stage 1 freezes the channel
 mixer and trains the new layers, stage 2 fine-tunes everything.  The
-compression parameters are updated by tangent projection + QR retraction;
-everything else by vanilla ``theta -= lr * grad``.  The loop is
-single-threaded and consumes randomness only from one seeded generator,
-so one (seed, config, dataset) triple yields one bit-exact run.
+compression parameters are updated by projecting the minibatch gradient
+onto the tangent space and retracting by QR; everything else by vanilla
+``theta -= lr * grad``.  The loop is single-threaded and consumes
+randomness only from one seeded generator, so one (seed, config,
+dataset) triple yields one bit-exact run.
 Training and evaluation run the chain on slices of stacked samples (see
 :data:`SLICE_VALUES`); a slice gives each sample exactly the bits it gets
 on its own.
@@ -215,12 +216,13 @@ class PipelineTapes:
 @dataclass
 class Grads:
     """Gradient blocks of one sample, or per sample of a stack.  ``None``
-    marks a block :func:`backward` was asked to skip (or no mixer)."""
+    marks a block :func:`backward` was asked to skip (or no mixer).
+    ``stiefel_euclid`` is the Euclidean partial in W, not projected onto
+    the tangent space."""
 
     mix_weights: np.ndarray | None
     mix_bias: np.ndarray | None
     stiefel_euclid: np.ndarray
-    stiefel_tangent: np.ndarray
     dense_weights: np.ndarray
     dense_bias: np.ndarray
     input: np.ndarray | None
@@ -425,9 +427,9 @@ def backward(
     """Chain all layer adjoints back from the loss, for one sample or per
     sample of a stack.
 
-    The compression gradient is returned both as the raw Euclidean
-    partial (what entrywise finite differences measure) and as its
-    tangent projection (what the manifold optimizer consumes).
+    The compression gradient is the raw Euclidean partial (what entrywise
+    finite differences measure); :func:`train` projects the minibatch sum
+    onto the tangent space once, as projection is linear.
     ``mix=False`` skips the mixer gradients and ``input=False`` the input
     gradient; with neither wanted, nothing below the compression is
     differentiated.
@@ -442,7 +444,6 @@ def backward(
         grad_y = grad_y * tapes.relu_mask
 
     stiefel_euclid = transform_backward_param(tapes.transform, grad_y)
-    stiefel_tangent = tangent_project(params.transform, stiefel_euclid)
 
     d_weights = d_bias = grad_input = None
     if input or (mix and tapes.mix is not None):
@@ -463,7 +464,6 @@ def backward(
         mix_weights=d_weights,
         mix_bias=d_bias,
         stiefel_euclid=stiefel_euclid,
-        stiefel_tangent=stiefel_tangent,
         dense_weights=tapes.dense_grads.weights,
         dense_bias=tapes.dense_grads.bias,
         input=grad_input,
@@ -555,7 +555,7 @@ def train(
         train_mix = params.mix is not None and (stage == 2 or tc.train_mix_in_stage1)
         # The gradient blocks the update below applies.
         applied = ["dense_weights", "dense_bias"]
-        applied += [] if tc.freeze_stiefel else ["stiefel_tangent"]
+        applied += [] if tc.freeze_stiefel else ["stiefel_euclid"]
         applied += ["mix_weights", "mix_bias"] if train_mix else []
 
         for _ in range(tc.epochs_per_stage):
@@ -594,9 +594,8 @@ def train(
                     params.mix.bias = params.mix.bias - lr * (total["mix_bias"] * scale)
                 if not tc.freeze_stiefel:
                     try:
-                        params.transform = retract_step(
-                            params.transform, total["stiefel_tangent"] * scale, stiefel_lr
-                        )
+                        tangent = tangent_project(params.transform, total["stiefel_euclid"] * scale)
+                        params.transform = retract_step(params.transform, tangent, stiefel_lr)
                     except SingularMatrixError as e:
                         raise SingularMatrixError(
                             f"retraction failed at epoch {global_epoch}, batch {batch_no}: {e}"

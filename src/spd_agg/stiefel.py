@@ -66,10 +66,11 @@ class StiefelPoint:
 @dataclass(frozen=True)
 class TransformTape:
     """Forward cache for one compression, or one per matrix of a stack:
-    input matrix and parameter snapshot."""
+    input matrix, parameter snapshot and the product T = W^T K."""
 
     k: np.ndarray
     w: StiefelPoint
+    t: np.ndarray
 
 
 def stiefel_init(c: int, c_prime: int, rng: np.random.Generator) -> StiefelPoint:
@@ -95,8 +96,8 @@ def transform_forward(k, w: StiefelPoint) -> tuple[np.ndarray, TransformTape]:
         raise ShapeMismatchError(f"compression input must be square, got shape {k.shape}")
     if k.shape[-1] != w.rows:
         raise ShapeMismatchError(f"input dim {k.shape[-1]} does not match parameter rows {w.rows}")
-    y = symmetrize(matmul(matmul(w.w.T, k), w.w))
-    return y, TransformTape(k=k, w=w)
+    t = matmul(w.w.T, k)
+    return symmetrize(matmul(t, w.w)), TransformTape(k=k, w=w, t=t)
 
 
 def _check_grad_y(tape: TransformTape, grad_y: np.ndarray) -> np.ndarray:
@@ -117,15 +118,16 @@ def transform_backward_input(tape: TransformTape, grad_y: np.ndarray) -> np.ndar
 
 
 def transform_backward_param(tape: TransformTape, grad_y: np.ndarray) -> np.ndarray:
-    """Euclidean partial dL/dW = 2 K W G, before any manifold projection.
+    """Euclidean partial dL/dW = 2 (W^T K)^T G, before any manifold
+    projection (callers that want the tangent call :func:`tangent_project`).
 
     Requires K and G exactly symmetric, as every producer makes them
     (the aggregators, :func:`~spd_agg.head.vectorize_backward` and the
-    ReLU mask); the general K^T W G + K W G^T then has two bit-identical
-    terms.
+    ReLU mask): the general K^T W G + K W G^T then has two bit-identical
+    terms, and the forward's T^T equals K W bit for bit.
     """
     g = _check_grad_y(tape, grad_y)
-    return 2.0 * matmul(tape.k, matmul(tape.w.w, g))
+    return 2.0 * matmul(tape.t.swapaxes(-1, -2), g)
 
 
 def tangent_project(w: StiefelPoint, euclid_grad: np.ndarray) -> np.ndarray:

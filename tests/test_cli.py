@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,11 @@ def _non_orthonormal_w(blocks):
     blocks["stiefel.w"] = 5.0 * np.ones_like(blocks["stiefel.w"])
 
 
+def _huge_w_entry(blocks):
+    # Finite, but its square overflows: refused before W^T W is formed.
+    blocks["stiefel.w"][0, 0] = 1e300
+
+
 def _three_class_head(blocks):
     blocks["dense.weights"] = np.zeros((3, blocks["dense.weights"].shape[1]))
     blocks["dense.bias"] = np.zeros((1, 3))
@@ -221,6 +227,7 @@ class TestCheckpointValidation:
             (_aggregator_code_two, "0 or 1"),
             (_empty_bias, "1 row"),
             (_non_orthonormal_w, "orthonormal"),
+            (_huge_w_entry, "exceeds 1"),
             (_three_class_head, "must be 2 rows x 6 columns"),
             (_narrow_w_and_head, "must be 5 rows x 3 columns"),
             (_no_input_channels, "not a valid pipeline"),
@@ -241,9 +248,12 @@ class TestCheckpointValidation:
         blocks = checkpoint_read(ckpt)
         corrupt(blocks)
         checkpoint_write(ckpt, blocks)
-        code, out, err = run(capsys, ["eval", "--data", str(data), "--ckpt", str(ckpt)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["eval", "--data", str(data), "--ckpt", str(ckpt)])
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
+        assert not caught, [str(w.message) for w in caught]
 
 
 def test_semantic_checkpoint_error_has_no_byte_offset(small_run, tmp_path, capsys):

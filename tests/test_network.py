@@ -20,8 +20,10 @@ from spd_agg import (
     init_params,
     mix_backward,
     mix_forward,
+    retract_step,
     seeded_rng,
     synth_generate,
+    tangent_project,
     train,
 )
 from _oracles import central_diff, rel_err
@@ -149,7 +151,6 @@ class TestBackward:
             grads.mix_weights,
             grads.mix_bias,
             grads.stiefel_euclid,
-            grads.stiefel_tangent,
             grads.dense_weights,
             grads.dense_bias,
             grads.input,
@@ -253,6 +254,31 @@ class TestTrain:
         tc = TrainConfig(epochs_per_stage=2, seed=7, batch_size=8, freeze_stiefel=True)
         params, _ = train(ds, pipe, tc)
         assert np.array_equal(params.transform.w, init_params(pipe, seeded_rng(7)).transform.w)
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_one_tangent_projection_per_minibatch(self, monkeypatch, freeze):
+        # 16 samples in batches of 5: 4 minibatches in each of 4 epochs,
+        # each run in slices of 2 samples (widest array: 6 x 9 values).
+        monkeypatch.setattr(network_mod, "SLICE_VALUES", 2 * 6 * 9)
+        projected, stepped = [], []
+
+        def spy_project(w, grad):
+            projected.append(grad)
+            return tangent_project(w, grad)
+
+        def spy_retract(w, step, lr):
+            wt_step = w.w.T @ step
+            stepped.append(np.linalg.norm(wt_step + wt_step.T))
+            return retract_step(w, step, lr)
+
+        monkeypatch.setattr(network_mod, "tangent_project", spy_project)
+        monkeypatch.setattr(network_mod, "retract_step", spy_retract)
+        pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+        tc = TrainConfig(epochs_per_stage=2, seed=10, batch_size=5, freeze_stiefel=freeze)
+        train(tiny_dataset(seed=6), pipe, tc)
+        calls = 0 if freeze else 16
+        assert len(projected) == calls and len(stepped) == calls
+        assert all(norm <= 1e-12 for norm in stepped), max(stepped)
 
     def test_bit_identical_replay(self):
         ds = tiny_dataset(seed=1)
@@ -390,8 +416,7 @@ BATCH_PIPELINES = [
 ]
 
 GRAD_BLOCKS = (
-    "mix_weights", "mix_bias", "stiefel_euclid", "stiefel_tangent",
-    "dense_weights", "dense_bias", "input",
+    "mix_weights", "mix_bias", "stiefel_euclid", "dense_weights", "dense_bias", "input",
 )
 
 

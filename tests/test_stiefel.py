@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spd_agg import (
     ShapeMismatchError,
@@ -101,6 +103,15 @@ class TestTransformBackward:
         expected = 2.0 * matmul(matmul(k, w.w), g)
         assert np.abs(transform_backward_param(tape, g) - expected).max() < 1e-14
 
+    def test_tape_product_transposes_to_k_w_bit_for_bit(self):
+        # T = W^T K summed over the same index in the same order as K W,
+        # so with K exactly symmetric T^T is K W: 2 T^T G is the partial.
+        rng = seeded_rng(26)
+        k = symmetrize(rng.standard_normal((4, 9, 9)))
+        w = stiefel_init(9, 4, rng)
+        _, tape = transform_forward(k, w)
+        assert np.array_equal(tape.t.swapaxes(-1, -2), matmul(k, w.w))
+
     def test_input_gradient_matches_finite_differences(self):
         rng = seeded_rng(11)
         for _ in range(20):
@@ -136,6 +147,47 @@ class TestTransformBackward:
         _, tape = transform_forward(symmetrize(random_spd(rng, 5)), stiefel_init(5, 2, rng))
         with pytest.raises(ShapeMismatchError):
             transform_backward_input(tape, np.zeros((3, 3)))
+
+
+@st.composite
+def _compression_case(draw):
+    """W (c x c') with orthonormal columns, a stack of exactly symmetric
+    K, dK and G, and an arbitrary direction dW."""
+    c = draw(st.integers(1, 8))
+    c_prime = draw(st.integers(1, c))
+    stack = draw(st.integers(1, 4))
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    w = stiefel_init(c, c_prime, rng)
+    k, dk = (symmetrize(rng.standard_normal((stack, c, c))) for _ in range(2))
+    g = symmetrize(rng.standard_normal((stack, c_prime, c_prime)))
+    return w, k, dk, g, rng.standard_normal((c, c_prime))
+
+
+class TestCompressionAdjoints:
+    """<J x, G> = <x, J^T G> for both inputs of Y = W^T K W, without
+    finite differences, to 1e-10 relative to a Frobenius-norm bound on
+    both sides."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=_compression_case())
+    def test_input_adjoint(self, case):
+        w, k, dk, g, _ = case
+        _, tape = transform_forward(k, w)
+        lhs = float((matmul(matmul(w.w.T, dk), w.w) * g).sum())
+        rhs = float((dk * transform_backward_input(tape, g)).sum())
+        scale = np.linalg.norm(w.w) ** 2 * np.linalg.norm(dk) * np.linalg.norm(g)
+        assert abs(lhs - rhs) <= 1e-10 * scale
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=_compression_case())
+    def test_param_adjoint(self, case):
+        w, k, _, g, dw = case
+        _, tape = transform_forward(k, w)
+        dy = matmul(matmul(dw.T, k), w.w) + matmul(matmul(w.w.T, k), dw)
+        lhs = float((dy * g).sum())
+        rhs = float((dw * transform_backward_param(tape, g)).sum())
+        scale = 2.0 * np.prod([np.linalg.norm(a) for a in (w.w, dw, k, g)])
+        assert abs(lhs - rhs) <= 1e-10 * scale
 
 
 class TestTangentProject:
