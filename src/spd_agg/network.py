@@ -199,11 +199,13 @@ class MixTape:
 
 @dataclass(frozen=True)
 class PipelineTapes:
-    """Forward caches of one sample, or of a stack along a leading axis."""
+    """Forward caches of one sample, or of a stack along a leading axis.
+    The prefix fields ``x`` to ``kernel`` are None in a :func:`train` slice
+    that starts from cached aggregated matrices."""
 
-    x: np.ndarray
+    x: np.ndarray | None
     mix: MixTape | None
-    agg_input: np.ndarray  # (C, H, W) maps entering aggregation
+    agg_input: np.ndarray | None  # (C, H, W) maps entering aggregation
     kernel: KernelTape | None  # None for the covariance aggregator
     transform: TransformTape  # .k is the (C, C) aggregated matrix
     relu_mask: np.ndarray | None
@@ -332,11 +334,12 @@ def mix_backward(
     return matmul(gz, tape.m0.swapaxes(-1, -2)), gz.sum(axis=-1), d_input
 
 
-def _logits(
+def _aggregate(
     x, params: Params, config: PipelineConfig, frozen_sigma: float | None = None
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The chain :func:`forward` and :func:`predict` share, up to the
-    classifier logits; returns (head vector, logits, tape fields)."""
+) -> tuple[np.ndarray, dict]:
+    """The prefix of the chain: input checks, the mixer and the kernel or
+    covariance aggregation; returns (aggregated matrix, prefix tape
+    fields)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (3, 4):
         raise ShapeMismatchError(f"input must be (C, H, W) or (B, C, H, W), got shape {x.shape}")
@@ -358,7 +361,20 @@ def _logits(
         kernel_tape = None
         aggregate = covariance_forward(feats)
     _assert_finite("aggregated matrix", aggregate)
+    return aggregate, dict(x=x, mix=mix_tape, agg_input=feats, kernel=kernel_tape)
 
+
+#: Prefix tape fields of a training slice that starts from cached
+#: aggregated matrices; backward without the mixer and input gradients
+#: reads none of them.
+_NO_PREFIX = dict(x=None, mix=None, agg_input=None, kernel=None)
+
+
+def _logits(
+    aggregate: np.ndarray, params: Params, config: PipelineConfig
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The suffix of the chain, from the aggregated matrix up to the
+    classifier logits; returns (head vector, logits, tape fields)."""
     y, transform_tape = transform_forward(aggregate, params.transform)
     relu_mask = None
     if config.use_spd_relu:
@@ -378,15 +394,24 @@ def _logits(
     logits = dense_logits(v, params.head)
     _assert_finite("classifier logits", logits)
     return v, logits, dict(
-        x=x,
-        mix=mix_tape,
-        agg_input=feats,
-        kernel=kernel_tape,
-        transform=transform_tape,
-        relu_mask=relu_mask,
-        power_tape=power_tape,
-        l2_tape=l2_tape,
+        transform=transform_tape, relu_mask=relu_mask, power_tape=power_tape, l2_tape=l2_tape
     )
+
+
+def _loss(
+    aggregate: np.ndarray, prefix: dict, label, params: Params, config: PipelineConfig
+) -> tuple[float | np.ndarray, int | np.ndarray, PipelineTapes]:
+    """The suffix with the loss: (loss, argmax class, tapes), the tapes
+    completed by the ``prefix`` fields."""
+    v, logits, fields = _logits(aggregate, params, config)
+    loss, dense_grads = dense_softmax_ce(v, logits, params.head, label)
+    tapes = PipelineTapes(**prefix, **fields, logits=logits, dense_grads=dense_grads)
+    return loss, np.argmax(logits, axis=-1), tapes
+
+
+def _classes(aggregate: np.ndarray, params: Params, config: PipelineConfig) -> np.ndarray:
+    """Argmax class of each aggregated matrix: the suffix without a loss."""
+    return np.argmax(_logits(aggregate, params, config)[1], axis=-1)
 
 
 def forward(
@@ -404,21 +429,18 @@ def forward(
     bandwidth to a reference value so finite-difference probes measure
     only the differentiated path.
     """
-    v, logits, fields = _logits(x, params, config, frozen_sigma)
-    loss, dense_grads = dense_softmax_ce(v, logits, params.head, label)
-    tapes = PipelineTapes(**fields, logits=logits, dense_grads=dense_grads)
-    return loss, np.argmax(logits, axis=-1), tapes
+    aggregate, prefix = _aggregate(x, params, config, frozen_sigma)
+    return _loss(aggregate, prefix, label, params, config)
 
 
 def predict(x, params: Params, config: PipelineConfig) -> int | np.ndarray:
     """Argmax class for one sample, or per sample of a stack: the forward
     chain without a loss."""
-    return np.argmax(_logits(x, params, config)[1], axis=-1)
+    return _classes(_aggregate(x, params, config)[0], params, config)
 
 
 def backward(
     tapes: PipelineTapes,
-    params: Params,
     config: PipelineConfig,
     *,
     mix: bool = True,
@@ -432,7 +454,7 @@ def backward(
     onto the tangent space once, as projection is linear.
     ``mix=False`` skips the mixer gradients and ``input=False`` the input
     gradient; with neither wanted, nothing below the compression is
-    differentiated.
+    differentiated, and no prefix tape is read.
     """
     dv = tapes.dense_grads.v
     if config.normalizations.l2:
@@ -477,17 +499,31 @@ def _slice_size(config: PipelineConfig, positions: int) -> int:
     return max(1, SLICE_VALUES // max(c0 * positions, c * positions, c * c))
 
 
+def _cache_fits(config: PipelineConfig, samples: np.ndarray) -> bool:
+    """Whether :func:`train` may cache the aggregated matrices of the
+    (n, C0, H, W) ``samples``: only when a C x C matrix holds no more
+    float64 values than the sample it comes from."""
+    return config.feature_channels**2 <= math.prod(samples.shape[1:])
+
+
+def _slices(n: int, step: int):
+    """Consecutive slices of ``step`` samples out of ``n``."""
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
+def _accuracy(classes, labels: np.ndarray, step: int) -> float:
+    """Fraction of ``labels`` matched by ``classes(ids)``, taken over
+    slices of ``step`` samples in dataset order."""
+    correct = sum(int((classes(ids) == labels[ids]).sum()) for ids in _slices(len(labels), step))
+    return correct / len(labels)
+
+
 def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -> float:
     """Fraction of correct argmax predictions over (n, C, H, W) samples,
     predicted in slices of stacked samples, in dataset order."""
     samples = np.asarray(samples, dtype=np.float64)
-    labels = np.asarray(labels)
     step = _slice_size(config, samples.shape[-2] * samples.shape[-1])
-    correct = 0
-    for start in range(0, len(labels), step):
-        end = start + step
-        correct += int((predict(samples[start:end], params, config) == labels[start:end]).sum())
-    return correct / len(labels)
+    return _accuracy(lambda ids: predict(samples[ids], params, config), np.asarray(labels), step)
 
 
 def _ordered_sum(total: np.ndarray | None, stack: np.ndarray) -> np.ndarray:
@@ -531,6 +567,12 @@ def train(
     epochs.  Batch gradients are ordered sums over the batch divided by
     the batch size; every random choice comes from the seeded generator,
     so runs are reproducible bit-for-bit.
+
+    While a stage does not train the mixer, each sample's aggregated
+    matrix is a constant.  The first such epoch then aggregates every
+    training and held-out sample once, and the stage starts every slice
+    from those matrices, as long as they fit (:func:`_cache_fits`).  A
+    stage that trains the mixer drops them.
     """
     samples, labels = _dataset_arrays(dataset)
     n = len(labels)
@@ -539,13 +581,38 @@ def train(
             f"labels must lie in [0, {pipeline.num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    test_arrays = _dataset_arrays(test_dataset) if test_dataset is not None else None
-    step = min(tc.batch_size, _slice_size(pipeline, samples.shape[2] * samples.shape[3]))
+    sets = [(samples, labels)]
+    if test_dataset is not None:
+        sets.append(_dataset_arrays(test_dataset))
+    names = ("sample", "held-out sample")
+    steps = [_slice_size(pipeline, x.shape[2] * x.shape[3]) for x, _ in sets]
+    step = min(tc.batch_size, steps[0])
+    fits = all(_cache_fits(pipeline, x) for x, _ in sets)
+    cache: list[np.ndarray] | None = None  # per set, while the prefix is frozen
 
     rng = seeded_rng(tc.seed)
     params = init_params(pipeline, rng)
     history: list[MetricsRecord] = []
     global_epoch = 0
+
+    def aggregated(which: int, ids) -> tuple[np.ndarray, dict]:
+        """Aggregated matrices and prefix tapes of set ``which`` at ``ids``.
+        A non-finite value is looked for again sample by sample, and the
+        error names the epoch and the first sample that fails on its own."""
+        if cache is not None:
+            return cache[which][ids], _NO_PREFIX
+        x = sets[which][0]
+        try:
+            return _aggregate(x[ids], params, pipeline)
+        except NonFiniteError:
+            for i in np.arange(len(x))[ids]:
+                try:
+                    _aggregate(x[i], params, pipeline)
+                except NonFiniteError as e:
+                    raise NonFiniteError(
+                        f"non-finite value at epoch {global_epoch}, {names[which]} {i}: {e}"
+                    ) from e
+            raise
 
     for stage in (1, 2):
         base_lr = tc.lr_stage1 if stage == 1 else tc.lr_stage2
@@ -553,6 +620,8 @@ def train(
         best_loss = math.inf
         bad_epochs = 0
         train_mix = params.mix is not None and (stage == 2 or tc.train_mix_in_stage1)
+        if train_mix:
+            cache = None
         # The gradient blocks the update below applies.
         applied = ["dense_weights", "dense_bias"]
         applied += [] if tc.freeze_stiefel else ["stiefel_euclid"]
@@ -561,6 +630,11 @@ def train(
         for _ in range(tc.epochs_per_stage):
             t0 = time.perf_counter()
             global_epoch += 1
+            if cache is None and fits and not train_mix:
+                cache = [
+                    np.concatenate([aggregated(w, ids)[0] for ids in _slices(len(x), steps[w])])
+                    for w, (x, _) in enumerate(sets)
+                ]
             lr = base_lr / decay_mult
             stiefel_lr = (tc.lr_stiefel if tc.lr_stiefel is not None else base_lr) / decay_mult
             order = rng.permutation(n)
@@ -576,14 +650,14 @@ def train(
                 total: dict[str, np.ndarray] = {}
                 for s in range(0, len(batch), step):
                     ids = batch[s : s + step]
-                    loss, pred, tapes = forward(samples[ids], labels[ids], params, pipeline)
+                    loss, pred, tapes = _loss(*aggregated(0, ids), labels[ids], params, pipeline)
                     bad = ~np.isfinite(loss)
                     if bad.any():
                         raise NonFiniteError(
                             f"non-finite loss at epoch {global_epoch}, "
                             f"sample {int(ids[np.argmax(bad)])}"
                         )
-                    grads = backward(tapes, params, pipeline, mix=train_mix, input=False)
+                    grads = backward(tapes, pipeline, mix=train_mix, input=False)
                     losses.extend(loss.tolist())
                     correct += int((pred == labels[ids]).sum())
                     total = {k: _ordered_sum(total.get(k), getattr(grads, k)) for k in applied}
@@ -619,11 +693,13 @@ def train(
                     decay_mult *= tc.decay_factor
                     bad_epochs = 0
 
-            test_acc = (
-                evaluate_accuracy(test_arrays[0], test_arrays[1], params, pipeline)
-                if test_arrays is not None
-                else None
-            )
+            test_acc = None
+            if len(sets) > 1:
+                test_acc = _accuracy(
+                    lambda ids: _classes(aggregated(1, ids)[0], params, pipeline),
+                    sets[1][1],
+                    steps[1],
+                )
             history.append(
                 MetricsRecord(
                     epoch=global_epoch,
@@ -710,7 +786,7 @@ def grad_check(
 
     _, _, tapes = forward(x, label, params, pipeline)
     frozen = tapes.kernel.sigma if tapes.kernel is not None else None
-    analytic = backward(tapes, params, pipeline)
+    analytic = backward(tapes, pipeline)
 
     def loss_with(p: Params, xs: np.ndarray) -> float:
         return forward(xs, label, p, pipeline, frozen_sigma=frozen)[0]

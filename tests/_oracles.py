@@ -97,3 +97,14 @@ def random_spd(rng, n, jitter=0.5):
 def random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2.0
+
+
+#: Tolerance of the adjoint properties <J x, y> = <x, J^T y>, relative
+#: to a norm bound on the terms of both sides.
+ADJOINT_RTOL = 1e-10
+
+
+def adjoint_gap(jx, y, pairs) -> float:
+    """|<J x, y> - <x, J^T y>|; ``pairs`` holds (block of x, same block
+    of J^T y)."""
+    return abs(float(np.vdot(jx, y)) - sum(float(np.vdot(x, g)) for x, g in pairs))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spd_agg import (
     DenseParams,
@@ -15,7 +17,7 @@ from spd_agg import (
     vectorize,
     vectorize_backward,
 )
-from _oracles import central_diff, random_symmetric, rel_err
+from _oracles import ADJOINT_RTOL, adjoint_gap, central_diff, random_symmetric, rel_err
 
 
 def softmax_ce(v, params, label):
@@ -134,6 +136,51 @@ class TestL2Normalize:
 
         numeric = central_diff(loss, v.copy(), h=1e-5)
         assert rel_err(l2_normalize_backward(tape, upstream), numeric) < 1e-6
+
+
+@st.composite
+def _vector_case(draw):
+    """A stack of 1..4 vectors of length 1..12 and two more of the same shape."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 12)))
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    return tuple(rng.standard_normal(shape) for _ in range(3))
+
+
+class TestHeadAdjoints:
+    """<J x, y> = <x, J^T y> at random shapes and stack sizes, to
+    ``ADJOINT_RTOL`` relative to ||x|| ||y|| times a bound on ||J||; J x is
+    the forward-mode derivative, written out here."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(c=st.integers(1, 8), stack=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_vectorize(self, c, stack, seed):
+        rng = seeded_rng(seed)
+        dy = (lambda a: (a + a.swapaxes(-1, -2)) / 2.0)(rng.standard_normal((stack, c, c)))
+        g = rng.standard_normal((stack, c * (c + 1) // 2))
+        gap = adjoint_gap(vectorize(dy), g, [(dy, vectorize_backward(g, c))])
+        # vectorize is an isometry on symmetric matrices: ||J|| = 1.
+        assert gap <= ADJOINT_RTOL * np.linalg.norm(dy) * np.linalg.norm(g)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=_vector_case())
+    def test_power(self, case):
+        v, x, g = case
+        _, tape = power_normalize(v)
+        slope = 1.0 / (2.0 * np.sqrt(np.abs(v)))
+        jx = np.sign(v) * slope * (np.sign(v) * x)  # d sqrt(|v|) = slope * d|v|
+        gap = adjoint_gap(jx, g, [(x, power_normalize_backward(tape, g))])
+        assert gap <= ADJOINT_RTOL * slope.max() * np.linalg.norm(x) * np.linalg.norm(g)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=_vector_case())
+    def test_l2(self, case):
+        v, x, g = case
+        _, tape = l2_normalize(v)
+        norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        jx = x / norm - v * (v * x).sum(axis=-1, keepdims=True) / norm**3
+        gap = adjoint_gap(jx, g, [(x, l2_normalize_backward(tape, g))])
+        # Each of the two terms of J is at most 1 / ||v|| in norm.
+        assert gap <= ADJOINT_RTOL * 2.0 / norm.min() * np.linalg.norm(x) * np.linalg.norm(g)
 
 
 class TestDenseSoftmaxCe:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spd_agg import (
     NonFiniteError,
@@ -13,6 +15,8 @@ from spd_agg import (
     seeded_rng,
 )
 from _oracles import (
+    ADJOINT_RTOL,
+    adjoint_gap,
     central_diff,
     covariance_inner_products,
     kernel_backward_loop,
@@ -178,6 +182,52 @@ class TestCovariance:
 
             numeric = central_diff(loss, m.copy(), h=1e-5)
             assert rel_err(covariance_backward(m, g), numeric) < 1e-6
+
+
+@st.composite
+def _maps_case(draw):
+    """A (B, C, H, W) stack of maps, a direction of the same shape and an
+    arbitrary (not symmetric) upstream gradient per C x C matrix."""
+    stack, c = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    m, dm = (rng.standard_normal((stack, c, h, w)) for _ in range(2))
+    return m, dm, rng.standard_normal((stack, c, c))
+
+
+class TestAggregationAdjoints:
+    """<J x, G> = <x, J^T G> for the kernel (bandwidth frozen) and the
+    covariance, at random shapes and stack sizes, to ``ADJOINT_RTOL``
+    relative to a bound on the terms of both sides; J x is the
+    forward-mode derivative, written out here."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=_maps_case())
+    def test_kernel(self, case):
+        m, dm, g = case
+        sigma = compute_sigma(m)
+        k, tape = kernel_forward(m, sigma=sigma)
+        f, x = (a.reshape(a.shape[:2] + (-1,)) for a in (m, dm))
+        # dK_ij = -K_ij (f_i - f_j).(x_i - x_j) / sigma^2
+        df = f[:, :, None, :] - f[:, None, :, :]
+        dx = x[:, :, None, :] - x[:, None, :, :]
+        sq_sigma = (sigma * sigma)[:, None, None]
+        jx = -k * (df * dx).sum(axis=-1) / sq_sigma
+        gap = adjoint_gap(jx, g, [(x, kernel_backward(tape, g))])
+        # Both sides regroup the terms K_ij (f_i - f_j).(x_i - x_j) G_ij / sigma^2.
+        terms = k * np.linalg.norm(df, axis=-1) * np.linalg.norm(dx, axis=-1) / sq_sigma
+        assert gap <= ADJOINT_RTOL * float(np.vdot(terms, np.abs(g)))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=_maps_case())
+    def test_covariance(self, case):
+        m, dm, g = case
+        f, x = (a.reshape(a.shape[:2] + (-1,)) for a in (m, dm))
+        fc, xc = (a - a.mean(axis=-1, keepdims=True) for a in (f, x))
+        jx = (xc @ fc.swapaxes(-1, -2) + fc @ xc.swapaxes(-1, -2)) / (f.shape[-1] - 1)
+        gap = adjoint_gap(jx, g, [(x, covariance_backward(m, g))])
+        norms = np.linalg.norm(x) * np.linalg.norm(f) * np.linalg.norm(g)
+        assert gap <= ADJOINT_RTOL * 2.0 * norms / (f.shape[-1] - 1)
 
 
 class TestCertify:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spd_agg.network as network_mod
 from spd_agg import (
@@ -26,7 +28,7 @@ from spd_agg import (
     tangent_project,
     train,
 )
-from _oracles import central_diff, rel_err
+from _oracles import ADJOINT_RTOL, adjoint_gap, central_diff, rel_err
 
 SMALL = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=3)
 
@@ -77,6 +79,34 @@ class TestMixLayer:
         assert rel_err(d_w, central_diff(loss_w, weights.copy())) < 1e-6
         assert rel_err(d_b, central_diff(loss_b, bias.copy())) < 1e-6
         assert rel_err(d_in.reshape(4, 3, 3), central_diff(loss_x, x.copy())) < 1e-6
+
+
+class TestMixAdjoint:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(1, 9)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adjoint_in_weights_bias_and_input(self, shape, seed):
+        """<J (dW, db, dx), G> = <dW, gW> + <db, gb> + <dx, gx> for a
+        (B, C0, 1, N) stack and B per-sample gradients, to ``ADJOINT_RTOL``
+        relative to ||J|| ||(dW, db, dx)|| ||G|| with
+        ||J|| <= ||m|| + sqrt(B N) + ||W||."""
+        stack, c, c0, n = shape
+        rng = seeded_rng(seed)
+        x, dx = (rng.standard_normal((stack, c0, 1, n)) for _ in range(2))
+        weights, d_weights = (rng.standard_normal((c, c0)) for _ in range(2))
+        bias, d_bias = (rng.standard_normal(c) for _ in range(2))
+        g = rng.standard_normal((stack, c, n))
+        _, tape = mix_forward(x, MixParams(weights, bias))
+        m, dm = (a.reshape(stack, c0, n) for a in (x, dx))
+        jx = (tape.pre > 0.0) * (d_weights @ m + weights @ dm + d_bias[:, None])
+        g_weights, g_bias, g_input = mix_backward(tape, g)
+        pairs = [(d_weights, g_weights.sum(axis=0)), (d_bias, g_bias.sum(axis=0)), (dm, g_input)]
+        gap = adjoint_gap(jx, g, pairs)
+        op_norm = np.linalg.norm(m) + math.sqrt(stack * n) + np.linalg.norm(weights)
+        size = math.sqrt(sum(np.linalg.norm(a) ** 2 for a in (d_weights, d_bias, dm)))
+        assert gap <= ADJOINT_RTOL * op_norm * size * np.linalg.norm(g)
 
 
 class TestForward:
@@ -146,7 +176,7 @@ class TestBackward:
         params.head.bias = np.array([800.0, 0.0, 0.0])
         x = seeded_rng(15).standard_normal((6, 3, 3))
         _, _, tapes = forward(x, 0, params, pipe)
-        grads = backward(tapes, params, pipe)
+        grads = backward(tapes, pipe)
         for block in (
             grads.mix_weights,
             grads.mix_bias,
@@ -185,8 +215,8 @@ class TestGradCheck:
     def test_corrupted_gradient_detected(self, monkeypatch):
         true_backward = network_mod.backward
 
-        def corrupted(tapes, params, config):
-            grads = true_backward(tapes, params, config)
+        def corrupted(tapes, config):
+            grads = true_backward(tapes, config)
             grads.stiefel_euclid = grads.stiefel_euclid * 1.01
             return grads
 
@@ -312,14 +342,28 @@ class TestTrain:
         assert drops >= 4, losses
 
     def test_nan_sample_aborts_with_name(self):
-        ds = tiny_dataset(seed=4)
-        ds.samples[0, 0, 0, 0] = np.nan
+        # A NaN seen while the aggregated matrices are cached (stage 1
+        # freezes the mixer), in a training slice (the mixer trains) and
+        # in the held-out set: each names epoch, sample and layer.
         pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
-        with pytest.raises(NonFiniteError, match="input feature tensor"):
-            train(
-                (ds.samples, ds.labels), pipe,
-                TrainConfig(epochs_per_stage=1, seed=0, batch_size=4),
+        layer = ": non-finite values first appeared in: input feature tensor$"
+        cases = [
+            (0, False, False, "at epoch 1, sample 0" + layer),
+            (5, True, False, "at epoch 1, sample 5" + layer),
+            (5, False, True, "at epoch 1, held-out sample 5" + layer),
+        ]
+        for index, train_mix, held_out, message in cases:
+            ds = tiny_dataset(seed=4)
+            bad = tiny_dataset(seed=4)
+            bad.samples[index, 0, 0, 0] = np.nan
+            tc = TrainConfig(
+                epochs_per_stage=1, seed=0, batch_size=4, train_mix_in_stage1=train_mix
             )
+            with pytest.raises(NonFiniteError, match=message):
+                if held_out:
+                    train(ds, pipe, tc, test_dataset=(bad.samples, bad.labels))
+                else:
+                    train((bad.samples, bad.labels), pipe, tc)
 
     def test_nan_loss_aborts(self, monkeypatch):
         # Poison the loss from the second sample of each slice on: the
@@ -372,6 +416,84 @@ class TestTrain:
         labels[0] = 5
         with pytest.raises(ValueError, match="labels must lie"):
             train((ds.samples, labels), pipe, TrainConfig(epochs_per_stage=1))
+
+
+#: Pipelines whose stage 1 caches the aggregated matrices of the 3 x 3
+#: tiny dataset: kernel with mixer, covariance with matrix ReLU, no mixer
+#: (C*C = 36 <= C0*N = 54) and normalizations off.
+CACHED_PIPELINES = [
+    PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2),
+    PipelineConfig(
+        in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2, aggregator="covariance",
+        use_spd_relu=True,
+    ),
+    PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2),
+    PipelineConfig(
+        in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2,
+        normalizations=NormFlags(power=False, l2=False),
+    ),
+]
+
+
+class TestAggregateCache:
+    @pytest.mark.parametrize("pipe", CACHED_PIPELINES)
+    def test_cache_changes_no_bit(self, monkeypatch, pipe):
+        ds, held_out = tiny_dataset(seed=11), tiny_dataset(seed=12, per_class=4)
+        assert network_mod._cache_fits(pipe, ds.samples)
+        # A stage-2 rate that moves the mixer, so a stale cache would show.
+        tc = TrainConfig(epochs_per_stage=2, seed=3, batch_size=5, lr_stage2=0.05)
+        runs = []
+        for fits in (network_mod._cache_fits, lambda config, samples: False):
+            monkeypatch.setattr(network_mod, "_cache_fits", fits)
+            params, history = train(ds, pipe, tc, test_dataset=held_out)
+            runs.append(([h.to_json_line() for h in history], params))
+        (lines, cached), (plain_lines, plain) = runs
+        assert lines == plain_lines
+        assert np.array_equal(cached.transform.w, plain.transform.w)
+        assert np.array_equal(cached.head.weights, plain.head.weights)
+        assert np.array_equal(cached.head.bias, plain.head.bias)
+        if pipe.mixed_channels:
+            assert np.array_equal(cached.mix.weights, plain.mix.weights)
+            assert np.array_equal(cached.mix.bias, plain.mix.bias)
+
+    @pytest.mark.parametrize(
+        "pipe, train_mix, shape, per_epoch",
+        [
+            # Stage 1 aggregates once; stage 2 trains the mixer.
+            (CACHED_PIPELINES[0], False, (3, 3), [26, 0, 26, 26]),
+            (CACHED_PIPELINES[1], False, (3, 3), [26, 0, 26, 26]),
+            (CACHED_PIPELINES[0], True, (3, 3), [26, 26, 26, 26]),
+            # No mixer: both stages share one cache ...
+            (CACHED_PIPELINES[2], False, (3, 3), [26, 0, 0, 0]),
+            # ... unless C*C = 36 > C0*N = 24.
+            (CACHED_PIPELINES[2], False, (2, 2), [26, 26, 26, 26]),
+        ],
+    )
+    def test_samples_aggregated_per_epoch(self, monkeypatch, pipe, train_mix, shape, per_epoch):
+        # Samples aggregated per epoch; an epoch ends with its record.
+        counts = [0]
+        true_record = network_mod.MetricsRecord
+
+        def spy(fn):
+            def counted(x, *args, **kwargs):
+                counts[-1] += 1 if np.ndim(x) == 3 else len(x)
+                return fn(x, *args, **kwargs)
+
+            return counted
+
+        def record(*args, **kwargs):
+            counts.append(0)
+            return true_record(*args, **kwargs)
+
+        for name in ("kernel_forward", "covariance_forward"):
+            monkeypatch.setattr(network_mod, name, spy(getattr(network_mod, name)))
+        monkeypatch.setattr(network_mod, "MetricsRecord", record)
+        h, w = shape
+        ds = tiny_dataset(seed=13, h=h, w=w)
+        held_out = tiny_dataset(seed=14, per_class=5, h=h, w=w)
+        tc = TrainConfig(epochs_per_stage=2, seed=0, batch_size=5, train_mix_in_stage1=train_mix)
+        train(ds, pipe, tc, test_dataset=held_out)
+        assert counts[:-1] == per_epoch and counts[-1] == 0
 
 
 class TestConfigValidation:
@@ -433,7 +555,7 @@ class TestBatchedChain:
         single_losses, single_logits, single_total = [], [], {}
         for x, label in zip(xs, labels):
             loss, _, tapes = forward(x, int(label), params, pipe)
-            grads = backward(tapes, params, pipe)
+            grads = backward(tapes, pipe)
             single_losses.append(loss)
             single_logits.append(tapes.logits)
             for name in GRAD_BLOCKS:
@@ -449,7 +571,7 @@ class TestBatchedChain:
         for start in range(0, 7, step):
             loss, _, tapes = forward(xs[start:start + step], labels[start:start + step],
                                      params, pipe)
-            grads = backward(tapes, params, pipe)
+            grads = backward(tapes, pipe)
             losses.extend(loss)
             logits.extend(tapes.logits)
             for name in GRAD_BLOCKS:
@@ -467,9 +589,9 @@ class TestBatchedChain:
         xs = rng.standard_normal((4, 6, 3, 3))
         params = init_params(SMALL, rng, random_head=True)
         _, _, tapes = forward(xs, np.array([0, 1, 2, 0]), params, SMALL)
-        full = backward(tapes, params, SMALL)
+        full = backward(tapes, SMALL)
         for mix in (True, False):
-            part = backward(tapes, params, SMALL, mix=mix, input=False)
+            part = backward(tapes, SMALL, mix=mix, input=False)
             assert part.input is None
             for name in GRAD_BLOCKS[:-1]:
                 block = getattr(part, name)
