@@ -15,7 +15,8 @@ error.  ``gradcheck`` exits 1 if any gradient block fails its tolerance.
 
 The config JSON is one flat object mirroring the pipeline and training
 dataclass fields (lower_snake_case); ``normalizations`` is the nested
-``{"power": bool, "l2": bool}`` pair.  Unknown keys are rejected.
+``{"power": bool, "l2": bool}`` pair.  Unknown keys, and values of the
+wrong JSON type for their field, are rejected.
 """
 
 from __future__ import annotations
@@ -43,6 +44,21 @@ __all__ = ["main", "entry", "parse_config", "DEFAULT_GRADCHECK_PIPELINE"]
 
 _PIPELINE_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+_FIELD_TYPES = {
+    f.name: f.type for cls in (PipelineConfig, TrainConfig) for f in dataclasses.fields(cls)
+}
+
+#: What a config value may be, by the annotation of its dataclass field:
+#: a description and the exact Python types ``json`` parses it to (so a
+#: bool is no integer, and 16.0 is no integer either).
+_JSON_TYPES = {
+    "bool": ("true or false", (bool,)),
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "float | None": ("a number or null", (int, float, type(None))),
+    "str": ("a string", (str,)),
+    "NormFlags": ("an object", (dict,)),
+}
 
 #: Desk-scale defaults used when a config file omits architecture fields.
 _PIPELINE_DEFAULTS = {
@@ -58,11 +74,21 @@ DEFAULT_GRADCHECK_PIPELINE = PipelineConfig(
 )
 
 
+def _check_type(key: str, value, annotation: str) -> None:
+    name, types = _JSON_TYPES[annotation]
+    if type(value) not in types:
+        raise ValueError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
+
+
 def parse_config(raw: dict) -> tuple[PipelineConfig, TrainConfig]:
-    """Split one flat config mapping into the two config dataclasses."""
-    unknown = set(raw) - set(_PIPELINE_KEYS) - set(_TRAIN_KEYS)
+    """Split one flat config mapping into the two config dataclasses.
+    Each value must have the JSON type of its field; the dataclasses
+    check the ranges."""
+    unknown = set(raw) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        _check_type(key, value, _FIELD_TYPES[key])
     pd = dict(_PIPELINE_DEFAULTS)
     pd.update({k: raw[k] for k in _PIPELINE_KEYS if k in raw})
     norms = pd.pop("normalizations", None)
@@ -70,9 +96,9 @@ def parse_config(raw: dict) -> tuple[PipelineConfig, TrainConfig]:
         extra = set(norms) - {"power", "l2"}
         if extra:
             raise ValueError(f"unknown normalization flags: {sorted(extra)}")
-        pd["normalizations"] = NormFlags(
-            power=bool(norms.get("power", True)), l2=bool(norms.get("l2", True))
-        )
+        for flag, value in norms.items():
+            _check_type(f"normalizations.{flag}", value, "bool")
+        pd["normalizations"] = NormFlags(**norms)
     pipeline = PipelineConfig(**pd)
     tc = TrainConfig(**{k: raw[k] for k in _TRAIN_KEYS if k in raw})
     return pipeline, tc

@@ -179,8 +179,7 @@ def covariance_backward(m: np.ndarray, grad_cov: np.ndarray) -> np.ndarray:
             f"{m.shape[:-2] + (c, c)}"
         )
     centered = m - m.mean(axis=-1, keepdims=True)
-    d = matmul(grad_cov + grad_cov.swapaxes(-1, -2), centered) / (n - 1)
-    return d - d.mean(axis=-1, keepdims=True)
+    return matmul(grad_cov + grad_cov.swapaxes(-1, -2), centered) / (n - 1)
 
 
 def certify(k) -> float:

@@ -155,6 +155,10 @@ class TrainConfig:
     train_mix_in_stage1: bool = False
 
     def __post_init__(self):
+        for key in ("lr_stage1", "lr_stage2", "lr_stiefel", "decay_factor"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.lr_stage1 < 0 or self.lr_stage2 < 0:
             raise ValueError("learning rates must be >= 0")
         if self.lr_stiefel is not None and self.lr_stiefel < 0:
@@ -254,7 +258,8 @@ class MetricsRecord:
                 "test_accuracy": self.test_accuracy,
                 "lr": self.lr,
                 "stiefel_orthogonality_error": self.stiefel_orthogonality_error,
-            }
+            },
+            allow_nan=False,
         )
 
 
@@ -353,7 +358,6 @@ def _aggregate(
     feats = x
     if config.mixed_channels:
         feats, mix_tape = mix_forward(x, params.mix)
-        _assert_finite("mixed feature tensor", feats)
 
     if config.aggregator == "kernel":
         aggregate, kernel_tape = kernel_forward(feats, sigma=frozen_sigma)
@@ -389,7 +393,6 @@ def _logits(
         v, power_tape = power_normalize(v)
     if config.normalizations.l2:
         v, l2_tape = l2_normalize(v)
-    _assert_finite("head vector", v)
 
     logits = dense_logits(v, params.head)
     _assert_finite("classifier logits", logits)
@@ -405,6 +408,7 @@ def _loss(
     completed by the ``prefix`` fields."""
     v, logits, fields = _logits(aggregate, params, config)
     loss, dense_grads = dense_softmax_ce(v, logits, params.head, label)
+    _assert_finite("loss", loss)
     tapes = PipelineTapes(**prefix, **fields, logits=logits, dense_grads=dense_grads)
     return loss, np.argmax(logits, axis=-1), tapes
 
@@ -511,19 +515,43 @@ def _slices(n: int, step: int):
     return (slice(start, start + step) for start in range(0, n, step))
 
 
-def _accuracy(classes, labels: np.ndarray, step: int) -> float:
+def _located(run, ids, n: int, where: str):
+    """``run(ids)`` for a slice or index array ``ids`` into a set of ``n``
+    samples.  On a non-finite value, each sample of ``ids`` runs again on
+    its own, as a one-sample stack through the same ``run``, and the error
+    is raised as ``non-finite value at <where> i: <layer>`` for the first
+    sample ``i`` that fails."""
+    try:
+        return run(ids)
+    except NonFiniteError:
+        for i in np.arange(n)[ids]:
+            try:
+                run(slice(i, i + 1))
+            except NonFiniteError as e:
+                raise NonFiniteError(f"non-finite value at {where} {i}: {e}") from e
+        raise
+
+
+def _accuracy(classes, labels: np.ndarray, step: int, where: str) -> float:
     """Fraction of ``labels`` matched by ``classes(ids)``, taken over
-    slices of ``step`` samples in dataset order."""
-    correct = sum(int((classes(ids) == labels[ids]).sum()) for ids in _slices(len(labels), step))
-    return correct / len(labels)
+    slices of ``step`` samples in dataset order; a non-finite value is
+    located by :func:`_located`."""
+    n = len(labels)
+    correct = sum(
+        int((_located(classes, ids, n, where) == labels[ids]).sum()) for ids in _slices(n, step)
+    )
+    return correct / n
 
 
 def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -> float:
     """Fraction of correct argmax predictions over (n, C, H, W) samples,
-    predicted in slices of stacked samples, in dataset order."""
+    predicted in slices of stacked samples, in dataset order.  A
+    non-finite value names the sample and the layer."""
     samples = np.asarray(samples, dtype=np.float64)
     step = _slice_size(config, samples.shape[-2] * samples.shape[-1])
-    return _accuracy(lambda ids: predict(samples[ids], params, config), np.asarray(labels), step)
+    return _accuracy(
+        lambda ids: predict(samples[ids], params, config), np.asarray(labels), step, "sample"
+    )
 
 
 def _ordered_sum(total: np.ndarray | None, stack: np.ndarray) -> np.ndarray:
@@ -573,6 +601,10 @@ def train(
     training and held-out sample once, and the stage starts every slice
     from those matrices, as long as they fit (:func:`_cache_fits`).  A
     stage that trains the mixer drops them.
+
+    Every slice (the cache build, training and held-out) reports a
+    non-finite value through :func:`_located`, naming the epoch, the
+    sample and the layer; a non-finite epoch mean loss names the epoch.
     """
     samples, labels = _dataset_arrays(dataset)
     n = len(labels)
@@ -596,23 +628,13 @@ def train(
     global_epoch = 0
 
     def aggregated(which: int, ids) -> tuple[np.ndarray, dict]:
-        """Aggregated matrices and prefix tapes of set ``which`` at ``ids``.
-        A non-finite value is looked for again sample by sample, and the
-        error names the epoch and the first sample that fails on its own."""
+        """Aggregated matrices and prefix tapes of set ``which`` at ``ids``."""
         if cache is not None:
             return cache[which][ids], _NO_PREFIX
-        x = sets[which][0]
-        try:
-            return _aggregate(x[ids], params, pipeline)
-        except NonFiniteError:
-            for i in np.arange(len(x))[ids]:
-                try:
-                    _aggregate(x[i], params, pipeline)
-                except NonFiniteError as e:
-                    raise NonFiniteError(
-                        f"non-finite value at epoch {global_epoch}, {names[which]} {i}: {e}"
-                    ) from e
-            raise
+        return _aggregate(sets[which][0][ids], params, pipeline)
+
+    def where(which: int) -> str:
+        return f"epoch {global_epoch}, {names[which]}"
 
     for stage in (1, 2):
         base_lr = tc.lr_stage1 if stage == 1 else tc.lr_stage2
@@ -632,7 +654,12 @@ def train(
             global_epoch += 1
             if cache is None and fits and not train_mix:
                 cache = [
-                    np.concatenate([aggregated(w, ids)[0] for ids in _slices(len(x), steps[w])])
+                    np.concatenate(
+                        [
+                            _located(lambda j: aggregated(w, j)[0], ids, len(x), where(w))
+                            for ids in _slices(len(x), steps[w])
+                        ]
+                    )
                     for w, (x, _) in enumerate(sets)
                 ]
             lr = base_lr / decay_mult
@@ -650,13 +677,12 @@ def train(
                 total: dict[str, np.ndarray] = {}
                 for s in range(0, len(batch), step):
                     ids = batch[s : s + step]
-                    loss, pred, tapes = _loss(*aggregated(0, ids), labels[ids], params, pipeline)
-                    bad = ~np.isfinite(loss)
-                    if bad.any():
-                        raise NonFiniteError(
-                            f"non-finite loss at epoch {global_epoch}, "
-                            f"sample {int(ids[np.argmax(bad)])}"
-                        )
+                    loss, pred, tapes = _located(
+                        lambda j: _loss(*aggregated(0, j), labels[j], params, pipeline),
+                        ids,
+                        n,
+                        where(0),
+                    )
                     grads = backward(tapes, pipeline, mix=train_mix, input=False)
                     losses.extend(loss.tolist())
                     correct += int((pred == labels[ids]).sum())
@@ -684,6 +710,8 @@ def train(
             # np.cumsum adds in sample order on every Python version
             # (sum() compensates from Python 3.12 on).
             epoch_loss = float(np.cumsum(losses)[-1]) / n
+            if not math.isfinite(epoch_loss):
+                raise NonFiniteError(f"non-finite mean training loss at epoch {global_epoch}")
             if epoch_loss <= best_loss - MIN_LOSS_DELTA:
                 best_loss = epoch_loss
                 bad_epochs = 0
@@ -699,6 +727,7 @@ def train(
                     lambda ids: _classes(aggregated(1, ids)[0], params, pipeline),
                     sets[1][1],
                     steps[1],
+                    where(1),
                 )
             history.append(
                 MetricsRecord(

@@ -66,6 +66,31 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="normalization"):
             parse_config({"normalizations": {"batch": True}})
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"batch_size": 2.5}', "batch_size"),
+            ('{"epochs_per_stage": "2"}', "epochs_per_stage"),
+            ('{"in_channels": 16.0}', "in_channels"),
+            ('{"use_spd_relu": "yes"}', "use_spd_relu"),
+            ('{"seed": 1.5}', "seed"),
+            ('{"batch_size": null}', "batch_size"),
+            ('{"normalizations": {"power": "no"}}', "normalizations.power"),
+            ('{"lr_stage1": NaN}', "lr_stage1"),
+            ('{"lr_stage2": Infinity}', "lr_stage2"),
+            ('{"lr_stiefel": NaN}', "lr_stiefel"),
+            ('{"decay_factor": NaN}', "decay_factor"),
+            ('{"decay_factor": Infinity}', "decay_factor"),
+        ],
+    )
+    def test_malformed_value_fails_cleanly(self, small_run, tmp_path, capsys, text, key):
+        data, _ = small_run
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, **json.loads(text)}))
+        code, out, err = run(capsys, ["train", "--data", str(data), "--config", str(bad)])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err
+
 
 class TestSynth:
     def test_writes_manifest(self, tmp_path, capsys):
@@ -254,6 +279,23 @@ class TestCheckpointValidation:
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
         assert not caught, [str(w.message) for w in caught]
+
+
+def test_eval_overflow_names_sample_and_layer(small_run, tmp_path, capsys):
+    data, _ = small_run
+    pipeline = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+    ckpt = tmp_path / "model.ftsp"
+    save_checkpoint(ckpt, init_params(pipeline, seeded_rng(2)), pipeline)
+    blocks = checkpoint_read(ckpt)
+    blocks["dense.weights"][:] = 1e308
+    checkpoint_write(ckpt, blocks)
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, ["eval", "--data", str(data), "--ckpt", str(ckpt)])
+    assert code == 1 and out == ""
+    assert err == (
+        "error: non-finite value at sample 0: "
+        "non-finite values first appeared in: classifier logits\n"
+    )
 
 
 def test_semantic_checkpoint_error_has_no_byte_offset(small_run, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import spd_agg.network as network_mod
 from spd_agg import (
+    MetricsRecord,
     MixParams,
     NonFiniteError,
     NormFlags,
@@ -20,6 +21,7 @@ from spd_agg import (
     forward,
     grad_check,
     init_params,
+    kernel_forward,
     mix_backward,
     mix_forward,
     retract_step,
@@ -35,6 +37,22 @@ SMALL = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_cla
 
 def tiny_dataset(seed=0, per_class=8, c0=6, h=3, w=3):
     return synth_generate(num_classes=2, per_class=per_class, c0=c0, h=h, w=w, seed=seed)
+
+
+def poison_compression(monkeypatch, bad_sample):
+    """Make the compressed matrix NaN wherever the aggregated matrix is the
+    kernel matrix of ``bad_sample`` (for a pipeline without a mixer): a
+    failure above the compression keyed on the sample's content, not on
+    its row in a slice."""
+    key = kernel_forward(bad_sample)[0]
+    true_transform = network_mod.transform_forward
+
+    def poisoned(k, w):
+        y, tape = true_transform(k, w)
+        hit = np.all(k == key, axis=(-2, -1))
+        return np.where(hit[..., None, None], np.nan, y), tape
+
+    monkeypatch.setattr(network_mod, "transform_forward", poisoned)
 
 
 class TestMixLayer:
@@ -365,25 +383,85 @@ class TestTrain:
                 else:
                     train((bad.samples, bad.labels), pipe, tc)
 
-    def test_nan_loss_aborts(self, monkeypatch):
-        # Poison the loss from the second sample of each slice on: the
-        # message names the first poisoned sample in batch order.
+    def test_nan_loss_aborts(self):
+        # lr_stage1 = 1.7e308 with W frozen: after the first minibatch the
+        # head weights are about 1e307, and finite logits overflow the
+        # softmax shift.  The loss is the last checked layer.
         ds = tiny_dataset(seed=5)
         pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
-        true_loss = network_mod.dense_softmax_ce
+        tc = TrainConfig(
+            epochs_per_stage=1, seed=0, batch_size=4, lr_stage1=1.7e308, freeze_stiefel=True
+        )
+        message = "at epoch 1, sample 14: non-finite values first appeared in: loss$"
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=message):
+            train(ds, pipe, tc)
 
-        def poisoned(v, logits, params, label):
-            loss, grads = true_loss(v, logits, params, label)
-            loss = np.array(loss, dtype=np.float64)
-            loss[1:] = np.nan
-            return loss, grads
+    def test_overflow_above_compression_names_epoch_and_sample(self):
+        # Covariance of maps scaled by 1e100, no normalization: the head
+        # grows to about 1e199 in the first minibatch, then the logits
+        # overflow in a training slice.
+        ds = tiny_dataset(seed=4)
+        pipe = PipelineConfig(
+            in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2,
+            aggregator="covariance", normalizations=NormFlags(power=False, l2=False),
+        )
+        tc = TrainConfig(epochs_per_stage=1, seed=0, batch_size=4)
+        message = "at epoch 1, sample 2: non-finite values first appeared in: classifier logits$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match=message):
+                train((ds.samples * 1e100, ds.labels), pipe, tc)
 
-        monkeypatch.setattr(network_mod, "dense_softmax_ce", poisoned)
+    def test_held_out_failure_above_compression_named(self, monkeypatch):
+        ds, held_out = tiny_dataset(seed=4), tiny_dataset(seed=9)
+        pipe = PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2)
+        poison_compression(monkeypatch, held_out.samples[3])
+        message = (
+            "at epoch 1, held-out sample 3: non-finite values first appeared in: compressed matrix$"
+        )
+        with pytest.raises(NonFiniteError, match=message):
+            train(ds, pipe, TrainConfig(epochs_per_stage=1, seed=0), test_dataset=held_out)
+
+    def test_first_sample_failing_alone_named_at_any_slice_size(self, monkeypatch):
+        # Two bad samples in the first minibatch: the earlier fails at the
+        # compression, the later (a NaN) at the input.  A slice holding
+        # both fails at the input first, yet the message names the
+        # earlier sample, as a slice of one does.  With no mixer and
+        # C*C = 36 > C0*N = 24, nothing is cached.
+        ds = tiny_dataset(seed=3, h=2, w=2)
+        pipe = PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2)
         rng = seeded_rng(0)
         init_params(pipe, rng)
-        second = int(rng.permutation(len(ds.labels))[1])
-        with pytest.raises(NonFiniteError, match=f"non-finite loss at epoch 1, sample {second}$"):
-            network_mod.train(ds, pipe, TrainConfig(epochs_per_stage=1, seed=0, batch_size=4))
+        order = rng.permutation(len(ds.labels))
+        first, later = int(order[0]), int(order[2])
+        samples = ds.samples.copy()
+        samples[later, 0, 0, 0] = np.nan
+        poison_compression(monkeypatch, samples[first])
+        message = (
+            f"non-finite value at epoch 1, sample {first}: "
+            "non-finite values first appeared in: compressed matrix"
+        )
+        for step in (1, 3, 7):
+            monkeypatch.setattr(network_mod, "SLICE_VALUES", step * 36)
+            with pytest.raises(NonFiniteError) as caught:
+                train((samples, ds.labels), pipe, TrainConfig(epochs_per_stage=1, batch_size=7))
+            assert str(caught.value) == message, step
+
+    def test_non_finite_epoch_loss_aborts(self):
+        # Every sample loss is finite (about 1e307), but their sequential
+        # sum overflows in epoch 4; "Infinity" is not JSON.
+        ds = synth_generate(num_classes=3, per_class=8, c0=6, h=3, w=3, seed=4)
+        pipe = PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=3, num_classes=3)
+        tc = TrainConfig(freeze_stiefel=True, batch_size=4, lr_stage1=1e307, lr_stage2=1e307)
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match="^non-finite mean training loss at epoch 4$"
+        ):
+            train(ds, pipe, tc)
+        record = MetricsRecord(
+            epoch=1, stage=1, mean_train_loss=math.inf, train_accuracy=0.5, test_accuracy=None,
+            lr=0.1, stiefel_orthogonality_error=0.0, wall_ms=1.0,
+        )
+        with pytest.raises(ValueError):
+            record.to_json_line()
 
     def test_singular_retraction_names_epoch_and_batch(self, monkeypatch):
         ds = tiny_dataset(seed=5)  # 16 samples: 4 batches of 4 per epoch
