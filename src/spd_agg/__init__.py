@@ -58,8 +58,6 @@ from .network import (
 )
 from .data import (
     FtsDataset,
-    checkpoint_read,
-    checkpoint_write,
     fts_read,
     fts_write,
     load_checkpoint,

@@ -1,4 +1,4 @@
-"""Binary dataset and checkpoint containers, plus the synthetic generator.
+"""Binary dataset and checkpoint formats, plus the synthetic generator.
 
 FTS1 dataset layout (little-endian throughout)::
 
@@ -14,19 +14,25 @@ one sample, every count >= 1, every label < num_classes, and
 field redundant with the label block, which is what lets single-byte
 header corruption always be detected — there is no checksum.
 
-FTSP checkpoint layout::
+FTSP checkpoint layout, version 2; the pipeline configuration in the
+header fixes every other byte::
 
-    magic "FTSP" | version u32 = 1 | block_count u32 | per block:
-    name_len u32 | name utf-8 | rows u32 | cols u32 |
-    rows*cols float64 row-major
+    magic "FTSP" | version u32 = 2 | in_channels u32 | mixed_channels u32 |
+    transform_dim u32 | num_classes u32 | use_spd_relu u32 |
+    aggregator u32 (0 kernel, 1 covariance) | power u32 | l2 u32 |
+    payload: float64 row-major, in the order mix.weights, mix.bias (both
+    only when mixed_channels > 0), stiefel.w, dense.weights, dense.bias |
+    CRC32 u32 of every byte before it
 
-Parameters and an encoded pipeline configuration ride in named blocks so
-one parser handles both containers.
+The four codes are 0 or 1.  A file of any other length than the header
+implies is refused before its payload is read.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +49,17 @@ __all__ = [
     "fts_write",
     "synth_generate",
     "split_by_class",
-    "checkpoint_read",
-    "checkpoint_write",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
 MAGIC = b"FTS1"
-CKPT_MAGIC = b"FTSP"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIIII")  # magic, version, n, c, h, w, num_classes
+CKPT_MAGIC = b"FTSP"
+CKPT_VERSION = 2
+_CKPT_HEADER = struct.Struct("<4s9I")  # magic, version, eight config fields
+_CRC = struct.Struct("<I")
 
 
 @dataclass
@@ -223,175 +230,107 @@ def split_by_class(dataset: FtsDataset, train_per_class: int) -> tuple[FtsDatase
     )
 
 
-def checkpoint_write(path, blocks: dict[str, np.ndarray]) -> None:
-    """Write named float64 matrices in the FTSP container."""
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<II", VERSION, len(blocks)))
-        for name, mat in blocks.items():
-            mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-            f.write(mat.astype("<f8").tobytes())
-
-
-def checkpoint_read(path) -> dict[str, np.ndarray]:
-    """Parse an FTSP container back into named float64 matrices."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < 12:
-        raise FtsParseError(f"truncated header: need 12 bytes, file has {len(buf)}", offset=len(buf))
-    if buf[:4] != CKPT_MAGIC:
-        raise FtsParseError(f"bad magic {buf[:4]!r}, expected {CKPT_MAGIC!r}", offset=0)
-    version, count = struct.unpack_from("<II", buf, 4)
-    if version != VERSION:
-        raise FtsParseError(f"unsupported version {version}, expected {VERSION}", offset=4)
-    off = 12
-    blocks: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        if len(buf) < off + 4:
-            raise FtsParseError("truncated block name length", offset=off)
-        (name_len,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        if len(buf) < off + name_len + 8:
-            raise FtsParseError("truncated block header", offset=off)
-        try:
-            name = buf[off : off + name_len].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FtsParseError(f"block name is not UTF-8: {e.reason}", offset=off) from e
-        off += name_len
-        rows, cols = struct.unpack_from("<II", buf, off)
-        off += 8
-        nbytes = 8 * rows * cols
-        if len(buf) < off + nbytes:
-            raise FtsParseError(
-                f"truncated payload for block {name!r}: need {nbytes} bytes", offset=off
-            )
-        blocks[name] = (
-            np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=off)
-            .reshape(rows, cols)
-            .copy()
-        )
-        off += nbytes
-    if off != len(buf):
-        raise FtsParseError(f"{len(buf) - off} trailing bytes after last block", offset=off)
-    return blocks
-
-
-_AGG_CODES = {"kernel": 0.0, "covariance": 1.0}
+def _block_shapes(pipeline: PipelineConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter blocks of an FTSP file for ``pipeline``, in file
+    order, with their shapes."""
+    shapes = {}
+    if pipeline.mixed_channels:
+        shapes["mix.weights"] = (pipeline.mixed_channels, pipeline.in_channels)
+        shapes["mix.bias"] = (pipeline.mixed_channels,)
+    shapes["stiefel.w"] = (pipeline.feature_channels, pipeline.transform_dim)
+    shapes["dense.weights"] = (pipeline.num_classes, pipeline.head_dim)
+    shapes["dense.bias"] = (pipeline.num_classes,)
+    return shapes
 
 
 def save_checkpoint(path, params: Params, pipeline: PipelineConfig) -> None:
     """Serialize trained parameters plus the pipeline configuration."""
-    blocks: dict[str, np.ndarray] = {
-        "pipeline_config": np.array(
-            [
-                [
-                    pipeline.in_channels,
-                    pipeline.mixed_channels,
-                    pipeline.transform_dim,
-                    pipeline.num_classes,
-                    float(pipeline.use_spd_relu),
-                    _AGG_CODES[pipeline.aggregator],
-                    float(pipeline.normalizations.power),
-                    float(pipeline.normalizations.l2),
-                ]
-            ]
-        )
+    arrays = {
+        "stiefel.w": params.transform.w,
+        "dense.weights": params.head.weights,
+        "dense.bias": params.head.bias,
     }
     if params.mix is not None:
-        blocks["mix.weights"] = params.mix.weights
-        blocks["mix.bias"] = params.mix.bias[None, :]
-    blocks["stiefel.w"] = params.transform.w
-    blocks["dense.weights"] = params.head.weights
-    blocks["dense.bias"] = params.head.bias[None, :]
-    checkpoint_write(path, blocks)
+        arrays.update({"mix.weights": params.mix.weights, "mix.bias": params.mix.bias})
+    shapes = _block_shapes(pipeline)
+    got = {name: np.shape(a) for name, a in arrays.items()}
+    if got != shapes:
+        raise ShapeMismatchError(f"parameter shapes {got} do not match the pipeline's {shapes}")
+    norms = pipeline.normalizations
+    header = _CKPT_HEADER.pack(
+        CKPT_MAGIC, CKPT_VERSION, pipeline.in_channels, pipeline.mixed_channels,
+        pipeline.transform_dim, pipeline.num_classes, pipeline.use_spd_relu,
+        pipeline.aggregator == "covariance", norms.power, norms.l2,
+    )
+    blob = header + b"".join(np.asarray(arrays[name], dtype="<f8").tobytes() for name in shapes)
+    with open(path, "wb") as f:
+        f.write(blob + _CRC.pack(zlib.crc32(blob)))
 
 
 #: Largest ||W^T W - I||_F accepted for a checkpoint's compression matrix.
 CKPT_ORTHO_TOL = 1e-8
 
 
-def _pipeline_config(block: np.ndarray) -> PipelineConfig:
-    """Decode the 1x8 ``pipeline_config`` block written by :func:`save_checkpoint`."""
-    if block.shape != (1, 8):
+def load_checkpoint(path) -> tuple[Params, PipelineConfig]:
+    """Rebuild (params, pipeline config) from an FTSP file.
+
+    Raises :class:`FtsParseError`, in this order, for: a bad magic, a
+    short file, a version other than 2, a checksum mismatch, a 0/1 code
+    that is neither, a header that describes no valid pipeline, a length
+    that differs from what the header implies, a non-finite parameter,
+    and a compression matrix whose columns are not orthonormal.
+    """
+    with open(path, "rb") as f:
+        buf = f.read()
+    if buf[:4] != CKPT_MAGIC:
+        raise FtsParseError(f"bad magic {buf[:4]!r}, expected {CKPT_MAGIC!r}", offset=0)
+    least = _CKPT_HEADER.size + _CRC.size
+    if len(buf) < least:
         raise FtsParseError(
-            f"pipeline_config block must be 1x8, got {block.shape[0]}x{block.shape[1]}"
+            f"truncated header: need {least} bytes, file has {len(buf)}", offset=len(buf)
         )
-    cfg = block[0]
-    if not (np.isfinite(cfg).all() and (cfg == np.round(cfg)).all()):
-        raise FtsParseError(f"pipeline_config entries must be finite integers, got {cfg.tolist()}")
-    if not np.isin(cfg[4:], (0.0, 1.0)).all():
-        raise FtsParseError(
-            f"pipeline_config relu, aggregator and normalization codes must be 0 or 1, "
-            f"got {cfg[4:].tolist()}"
-        )
+    _, version, *dims, relu, agg, power, l2 = _CKPT_HEADER.unpack_from(buf)
+    if version != CKPT_VERSION:
+        raise FtsParseError(f"unsupported version {version}, expected {CKPT_VERSION}", offset=4)
+    if _CRC.unpack_from(buf, len(buf) - 4)[0] != zlib.crc32(memoryview(buf)[:-4]):
+        raise FtsParseError("checksum mismatch", offset=len(buf) - 4)
+    for j, code in enumerate((relu, agg, power, l2)):
+        if code > 1:
+            raise FtsParseError(
+                f"relu, aggregator and normalization codes must be 0 or 1, got {code}",
+                offset=24 + 4 * j,
+            )
     try:
-        return PipelineConfig(
-            in_channels=int(cfg[0]),
-            mixed_channels=int(cfg[1]),
-            transform_dim=int(cfg[2]),
-            num_classes=int(cfg[3]),
-            use_spd_relu=bool(cfg[4]),
-            aggregator="covariance" if cfg[5] else "kernel",
-            normalizations=NormFlags(power=bool(cfg[6]), l2=bool(cfg[7])),
+        pipeline = PipelineConfig(
+            *dims,
+            use_spd_relu=bool(relu),
+            aggregator=("kernel", "covariance")[agg],
+            normalizations=NormFlags(power=bool(power), l2=bool(l2)),
         )
     except ValueError as e:
-        raise FtsParseError(f"pipeline_config is not a valid pipeline: {e}") from e
-
-
-def _block_shapes(pipeline: PipelineConfig) -> dict[str, tuple[int, int]]:
-    """The parameter blocks :func:`save_checkpoint` writes for ``pipeline``,
-    with their shapes."""
-    shapes = {}
-    if pipeline.mixed_channels:
-        shapes["mix.weights"] = (pipeline.mixed_channels, pipeline.in_channels)
-        shapes["mix.bias"] = (1, pipeline.mixed_channels)
-    shapes["stiefel.w"] = (pipeline.feature_channels, pipeline.transform_dim)
-    shapes["dense.weights"] = (pipeline.num_classes, pipeline.head_dim)
-    shapes["dense.bias"] = (1, pipeline.num_classes)
-    return shapes
-
-
-def _dims(rows: int, cols: int) -> str:
-    return f"{rows} row{'s' * (rows != 1)} x {cols} column{'s' * (cols != 1)}"
-
-
-def load_checkpoint(path) -> tuple[Params, PipelineConfig]:
-    """Rebuild (params, pipeline config) from a checkpoint file.
-
-    Raises :class:`FtsParseError` for a malformed container or
-    configuration, a missing or unexpected block, a block whose shape
-    does not match the configuration, a non-finite parameter, or a
-    compression matrix whose columns are not orthonormal.
-    """
-    blocks = checkpoint_read(path)
-    if "pipeline_config" not in blocks:
-        raise FtsParseError("checkpoint is missing block 'pipeline_config'")
-    pipeline = _pipeline_config(blocks.pop("pipeline_config"))
+        raise FtsParseError(f"header is not a valid pipeline: {e}") from e
     shapes = _block_shapes(pipeline)
-    for name, shape in shapes.items():
-        if name not in blocks:
-            raise FtsParseError(f"checkpoint is missing block {name!r}")
-        if blocks[name].shape != shape:
-            raise FtsParseError(
-                f"block {name!r} must be {_dims(*shape)} under the pipeline config, "
-                f"got {_dims(*blocks[name].shape)}"
-            )
-        if not np.isfinite(blocks[name]).all():
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    expected = least + 8 * sum(sizes)
+    if len(buf) != expected:
+        raise FtsParseError(
+            f"length mismatch: expected {expected} bytes, found {len(buf)}",
+            offset=min(len(buf), expected),
+        )
+    payload = np.frombuffer(buf, dtype="<f8", count=sum(sizes), offset=_CKPT_HEADER.size)
+    parts = np.split(payload.astype(np.float64), np.cumsum(sizes)[:-1])
+    blocks = {}
+    for (name, shape), part in zip(shapes.items(), parts):
+        if not np.isfinite(part).all():
             raise FtsParseError(f"block {name!r} contains non-finite values")
-    extra = sorted(set(blocks) - set(shapes))
-    if extra:
-        raise FtsParseError(f"unexpected blocks {extra}")
+        blocks[name] = part.reshape(shape)
     mix = None
     if pipeline.mixed_channels:
-        mix = MixParams(weights=blocks["mix.weights"], bias=blocks["mix.bias"][0])
+        mix = MixParams(weights=blocks["mix.weights"], bias=blocks["mix.bias"])
     params = Params(
         mix=mix,
         transform=StiefelPoint(blocks["stiefel.w"]),
-        head=DenseParams(weights=blocks["dense.weights"], bias=blocks["dense.bias"][0]),
+        head=DenseParams(weights=blocks["dense.weights"], bias=blocks["dense.bias"]),
     )
     # Orthonormal columns have entries in [-1, 1]; refusing larger ones
     # first keeps W^T W from overflowing.

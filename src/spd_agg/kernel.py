@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError
-from .linalg import matmul, sym_eigvals, symmetrize
+from .linalg import matmul, sym_eigvals
 
 __all__ = [
     "KernelTape",
@@ -91,8 +91,9 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
     the Gram identity ||f_i - f_j||^2 = g_ii + g_jj - 2 g_ij with
     g = M M^T, so the whole matrix costs one matrix product plus
     elementwise exponentials.  Diagonal entries are exactly 1 (the
-    exponent cancels identically), the result is explicitly symmetrized,
-    and all entries lie in (0, 1].
+    exponent cancels identically), the result is exactly symmetric as
+    computed (mirrored entries swap the operands of every product and
+    sum), and all entries lie in (0, 1].
 
     Parameters
     ----------
@@ -120,7 +121,7 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
     # kernel never exceeds 1.
     sq_dists = np.maximum(sq_norms[..., :, None] + sq_norms[..., None, :] - 2.0 * gram, 0.0)
     scale = np.asarray(2.0 * sigma * sigma)[..., None, None]
-    k = symmetrize(np.exp(-sq_dists / scale))
+    k = np.exp(-sq_dists / scale)
     return k, KernelTape(m=m, k=k, sigma=sigma)
 
 
@@ -155,8 +156,8 @@ def covariance_forward(x) -> np.ndarray:
     """Sample covariance of the per-position channel vectors.
 
     The columns of the reshaped map matrix are the N local features;
-    normalization is by N - 1.  Returns a symmetric PSD matrix (a stack
-    of them for a (B, C, H, W) input), singular whenever C > N - 1.
+    normalization is by N - 1.  Returns an exactly symmetric PSD matrix (a
+    stack of them for a (B, C, H, W) input), singular whenever C > N - 1.
     """
     m = as_feature_matrix(x)
     n = m.shape[-1]
@@ -165,7 +166,7 @@ def covariance_forward(x) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFiniteError("covariance input contains non-finite values")
     centered = m - m.mean(axis=-1, keepdims=True)
-    return symmetrize(matmul(centered, centered.swapaxes(-1, -2)) / (n - 1))
+    return matmul(centered, centered.swapaxes(-1, -2)) / (n - 1)
 
 
 def covariance_backward(m: np.ndarray, grad_cov: np.ndarray) -> np.ndarray:

@@ -167,6 +167,8 @@ class TrainConfig:
             raise ValueError("decay_factor must exceed 1")
         if self.plateau_patience < 1 or self.batch_size < 1 or self.epochs_per_stage < 0:
             raise ValueError("patience and batch size must be >= 1, epochs >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

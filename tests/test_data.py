@@ -1,4 +1,7 @@
 import struct
+import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,8 @@ from spd_agg import (
     NormFlags,
     Params,
     PipelineConfig,
+    ShapeMismatchError,
     StiefelPoint,
-    checkpoint_read,
-    checkpoint_write,
     fts_read,
     fts_write,
     load_checkpoint,
@@ -25,6 +27,7 @@ from spd_agg import (
     synth_generate,
     stiefel_init,
 )
+from spd_agg.cli import DEFAULT_GRADCHECK_PIPELINE
 
 
 def random_dataset(rng, n_per_class=3, num_classes=2, c=4, h=2, w=3):
@@ -159,17 +162,45 @@ class TestSplit:
         assert (np.bincount(test_ds.labels) == [50, 50]).all()
 
 
-class TestCheckpoint:
-    def test_block_round_trip(self, tmp_path):
-        rng = seeded_rng(15)
-        blocks = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((1, 5))}
-        path = tmp_path / "blocks.ftsp"
-        checkpoint_write(path, blocks)
-        back = checkpoint_read(path)
-        assert set(back) == {"a", "b"}
-        assert np.array_equal(back["a"], blocks["a"])
-        assert np.array_equal(back["b"], blocks["b"])
+#: A checkpoint committed once; the format may not move under it.
+GOLDEN_CHECKPOINT = Path(__file__).parent / "golden" / "gradcheck_pipeline.ftsp"
 
+
+def golden_checkpoint() -> tuple[Params, PipelineConfig]:
+    """What ``GOLDEN_CHECKPOINT`` holds: the gradcheck pipeline, with
+    parameters that are exact binary fractions, different in every
+    mixer and head entry, and an exactly orthonormal W.  Rewrite the file
+    with ``save_checkpoint(GOLDEN_CHECKPOINT, *golden_checkpoint())``
+    only when the format changes on purpose."""
+    pipeline = DEFAULT_GRADCHECK_PIPELINE  # 6 -> 5 channels, C' = 3, 3 classes
+    steps = (np.arange(56) - 27.5) / 16
+    w = np.zeros((5, 3))
+    w[0, 0], w[1, 0], w[2, 1], w[3, 2], w[4, 2] = 0.6, 0.8, -1.0, 0.28, 0.96
+    params = Params(
+        mix=MixParams(weights=steps[:30].reshape(5, 6), bias=steps[30:35]),
+        transform=StiefelPoint(w),
+        head=DenseParams(weights=steps[35:53].reshape(3, 6), bias=steps[53:]),
+    )
+    return params, pipeline
+
+
+def reseal(blob: bytearray) -> bytearray:
+    """Rewrite an edited FTSP v2 file's CRC32 trailer to match its bytes."""
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+    return blob
+
+
+def assert_same_params(a: Params, b: Params) -> None:
+    assert (a.mix is None) == (b.mix is None)
+    if a.mix is not None:
+        assert np.array_equal(a.mix.weights, b.mix.weights)
+        assert np.array_equal(a.mix.bias, b.mix.bias)
+    assert np.array_equal(a.transform.w, b.transform.w)
+    assert np.array_equal(a.head.weights, b.head.weights)
+    assert np.array_equal(a.head.bias, b.head.bias)
+
+
+class TestCheckpoint:
     def test_params_round_trip(self, tmp_path):
         rng = seeded_rng(16)
         pipeline = PipelineConfig(
@@ -186,11 +217,7 @@ class TestCheckpoint:
         save_checkpoint(path, params, pipeline)
         loaded, cfg = load_checkpoint(path)
         assert cfg == pipeline
-        assert np.array_equal(loaded.mix.weights, params.mix.weights)
-        assert np.array_equal(loaded.mix.bias, params.mix.bias)
-        assert np.array_equal(loaded.transform.w, params.transform.w)
-        assert np.array_equal(loaded.head.weights, params.head.weights)
-        assert np.array_equal(loaded.head.bias, params.head.bias)
+        assert_same_params(loaded, params)
 
     def test_no_mixer_round_trip(self, tmp_path):
         rng = seeded_rng(17)
@@ -207,35 +234,89 @@ class TestCheckpoint:
         loaded, cfg = load_checkpoint(path)
         assert cfg == pipeline and loaded.mix is None
 
+    def test_golden_file_loads_exactly(self):
+        params, pipeline = golden_checkpoint()
+        loaded, cfg = load_checkpoint(GOLDEN_CHECKPOINT)
+        assert cfg == pipeline
+        assert_same_params(loaded, params)
+
+    def test_save_reproduces_golden_bytes(self, tmp_path):
+        path = tmp_path / "model.ftsp"
+        save_checkpoint(path, *golden_checkpoint())
+        golden = GOLDEN_CHECKPOINT.read_bytes()
+        assert len(golden) == 40 + 8 * (30 + 5 + 15 + 18 + 3) + 4
+        assert path.read_bytes() == golden
+
+    def test_save_refuses_params_of_another_pipeline(self, tmp_path):
+        params, _ = golden_checkpoint()
+        no_mixer = PipelineConfig(in_channels=5, mixed_channels=0, transform_dim=3, num_classes=3)
+        with pytest.raises(ShapeMismatchError, match="do not match the pipeline"):
+            save_checkpoint(tmp_path / "model.ftsp", params, no_mixer)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ftsp"
         path.write_bytes(b"JUNKxxxxxxxxxxxx")
-        with pytest.raises(FtsParseError, match="magic"):
-            checkpoint_read(path)
+        with pytest.raises(FtsParseError, match="magic") as info:
+            load_checkpoint(path)
+        assert info.value.offset == 0
 
     def test_truncated_block_rejected(self, tmp_path):
-        rng = seeded_rng(18)
-        path = tmp_path / "blocks.ftsp"
-        checkpoint_write(path, {"a": rng.standard_normal((3, 3))})
-        blob = path.read_bytes()
-        (tmp_path / "cut.ftsp").write_bytes(blob[:-4])
-        with pytest.raises(FtsParseError, match="truncated"):
-            checkpoint_read(tmp_path / "cut.ftsp")
+        blob = GOLDEN_CHECKPOINT.read_bytes()
+        path = tmp_path / "cut.ftsp"
+        path.write_bytes(blob[:-4])
+        with pytest.raises(FtsParseError, match="checksum mismatch") as info:
+            load_checkpoint(path)
+        assert info.value.offset == len(blob) - 8
+        path.write_bytes(blob[:43])
+        with pytest.raises(FtsParseError, match="truncated header: need 44 bytes") as info:
+            load_checkpoint(path)
+        assert info.value.offset == 43
 
-    def test_non_utf8_name_rejected_at_its_offset(self, tmp_path):
-        path = tmp_path / "name.ftsp"
-        name = b"\xff\xfe"
-        header = b"FTSP" + struct.pack("<III", 1, 1, len(name))
-        path.write_bytes(header + name + struct.pack("<IId", 1, 1, 0.0))
-        with pytest.raises(FtsParseError, match="not UTF-8") as info:
-            checkpoint_read(path)
-        assert info.value.offset == len(header)
+    def test_version_1_file_refused(self, tmp_path):
+        # A one-block file in the retired named-block layout.
+        name = b"pipeline_config"
+        v1 = (
+            b"FTSP" + struct.pack("<III", 1, 1, len(name)) + name
+            + struct.pack("<II", 1, 8) + np.zeros(8).tobytes()
+        )
+        path = tmp_path / "v1.ftsp"
+        path.write_bytes(v1)
+        with pytest.raises(FtsParseError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == "unsupported version 1, expected 2 (at byte 4)"
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_each_code_names_its_offset(self, tmp_path, field):
+        # relu, aggregator, power and l2 follow the magic, the version and
+        # the four dimensions.
+        blob = bytearray(GOLDEN_CHECKPOINT.read_bytes())
+        struct.pack_into("<I", blob, 24 + 4 * field, 2)
+        path = tmp_path / "model.ftsp"
+        path.write_bytes(reseal(blob))
+        with pytest.raises(FtsParseError, match="must be 0 or 1, got 2") as info:
+            load_checkpoint(path)
+        assert info.value.offset == 24 + 4 * field
+
+    def test_huge_config_fails_on_length_before_reading(self, tmp_path):
+        blob = bytearray(GOLDEN_CHECKPOINT.read_bytes())
+        struct.pack_into("<4I", blob, 8, 2**31, 2**31, 2**16, 2**31)
+        path = tmp_path / "model.ftsp"
+        path.write_bytes(reseal(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FtsParseError, match="length mismatch"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def _mutations(size: int):
-    """One byte replaced, the file cut short, or one byte inserted."""
+    """One byte replaced by another value, the file cut short, or one
+    byte inserted."""
     return st.one_of(
-        st.tuples(st.just("replace"), st.integers(0, size - 1), st.integers(0, 255)),
+        st.tuples(st.just("replace"), st.integers(0, size - 1), st.integers(1, 255)),
         st.tuples(st.just("truncate"), st.integers(0, size - 1), st.just(0)),
         st.tuples(st.just("insert"), st.integers(0, size), st.integers(0, 255)),
     )
@@ -259,21 +340,36 @@ def checkpoint_file(tmp_path_factory):
 class TestCheckpointMutation:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(data=st.data())
-    def test_edited_checkpoint_loads_or_fails_cleanly(self, checkpoint_file, data):
+    def test_edited_checkpoint_is_refused(self, checkpoint_file, data):
         path, blob = checkpoint_file
         kind, at, byte = data.draw(_mutations(len(blob)))
         if kind == "replace":
-            blob = blob[:at] + bytes([byte]) + blob[at + 1 :]
+            # ``byte`` is a nonzero step, so the value always changes
+            blob = blob[:at] + bytes([(blob[at] + byte) % 256]) + blob[at + 1 :]
         elif kind == "truncate":
             blob = blob[:at]
         else:
             blob = blob[:at] + bytes([byte]) + blob[at:]
         path.write_bytes(blob)
-        try:
-            loaded, cfg = load_checkpoint(path)
-        except FtsParseError:
-            return
-        assert isinstance(loaded, Params) and isinstance(cfg, PipelineConfig)
+        with pytest.raises(FtsParseError):
+            load_checkpoint(path)
+
+    def test_1000_single_byte_replacements_refused(self, checkpoint_file):
+        """Criterion 10's header fuzz, over every byte of a checkpoint."""
+        path, blob = checkpoint_file
+        rng = seeded_rng(110)
+        refused = 0
+        for _ in range(1000):
+            at = int(rng.integers(0, len(blob)))
+            new = int(rng.integers(0, 256))
+            if new == blob[at]:
+                new = (new + 1) % 256
+            path.write_bytes(blob[:at] + bytes([new]) + blob[at + 1 :])
+            try:
+                load_checkpoint(path)
+            except FtsParseError:
+                refused += 1
+        assert refused == 1000
 
 
 class TestDatasetValidation:

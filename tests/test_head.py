@@ -125,6 +125,17 @@ class TestL2Normalize:
         assert np.array_equal(out, v)
         assert np.array_equal(l2_normalize_backward(tape, np.ones(4)), np.ones(4))
 
+    def test_overflowing_square_norm_rescaled(self):
+        # v . v overflows; tier-1 turns the warning it would raise into an error.
+        v = np.array([1e200, 1.0])
+        out, tape = l2_normalize(v)
+        assert np.array_equal(out, [1.0, 1e-200]) and tape.norm == 1e200
+        stack = np.array([[3.0, 4.0], v, [-2e300, 2e300]])
+        stacked, stacked_tape = l2_normalize(stack)
+        assert np.array_equal(stacked[1], out) and stacked_tape.norm[1] == tape.norm
+        assert np.array_equal(stacked[0], l2_normalize(stack[0])[0])
+        assert np.allclose(stacked[2], [-np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15)
+
     def test_gradient(self):
         rng = seeded_rng(6)
         v = rng.standard_normal(7)
