@@ -41,7 +41,6 @@ from .network import (
     Grads,
     MetricsRecord,
     MixParams,
-    NormFlags,
     Params,
     PipelineConfig,
     TrainConfig,

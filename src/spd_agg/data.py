@@ -40,7 +40,7 @@ import numpy as np
 from .errors import FtsParseError, NonFiniteError, ShapeMismatchError
 from .head import DenseParams
 from .linalg import matmul, seeded_rng
-from .network import MixParams, NormFlags, Params, PipelineConfig
+from .network import MixParams, Params, PipelineConfig
 from .stiefel import StiefelPoint
 
 __all__ = [
@@ -256,11 +256,10 @@ def save_checkpoint(path, params: Params, pipeline: PipelineConfig) -> None:
     got = {name: np.shape(a) for name, a in arrays.items()}
     if got != shapes:
         raise ShapeMismatchError(f"parameter shapes {got} do not match the pipeline's {shapes}")
-    norms = pipeline.normalizations
     header = _CKPT_HEADER.pack(
         CKPT_MAGIC, CKPT_VERSION, pipeline.in_channels, pipeline.mixed_channels,
         pipeline.transform_dim, pipeline.num_classes, pipeline.use_spd_relu,
-        pipeline.aggregator == "covariance", norms.power, norms.l2,
+        pipeline.aggregator == "covariance", pipeline.power_norm, pipeline.l2_norm,
     )
     blob = header + b"".join(np.asarray(arrays[name], dtype="<f8").tobytes() for name in shapes)
     with open(path, "wb") as f:
@@ -305,7 +304,7 @@ def load_checkpoint(path) -> tuple[Params, PipelineConfig]:
             *dims,
             use_spd_relu=bool(relu),
             aggregator=("kernel", "covariance")[agg],
-            normalizations=NormFlags(power=bool(power), l2=bool(l2)),
+            power_norm=bool(power), l2_norm=bool(l2),
         )
     except ValueError as e:
         raise FtsParseError(f"header is not a valid pipeline: {e}") from e

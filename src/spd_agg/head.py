@@ -122,18 +122,24 @@ def _per_vector(fn, *arrays) -> np.ndarray:
 def l2_normalize(v: np.ndarray) -> tuple[np.ndarray, L2Tape]:
     """Scale to unit 2-norm, each vector of a stack on its own; vectors
     below ``L2_FLOOR`` pass through.  A finite vector whose ``v . v``
-    overflows (||v|| above about 1.3e154) takes its norm as ``s ||v / s||``
-    with ``s = max |v|``; every other keeps the bits of ``sqrt(v . v)``."""
+    overflows (||v|| above about 1.3e154) is scaled by ``s = max |v|``
+    first: its unit is ``(v / s) / ||v / s||`` and its norm
+    ``s ||v / s||``, which may be infinite (the backward then gives zeros,
+    as the Jacobian does once it underflows).  Every other vector keeps
+    the bits of ``v / sqrt(v . v)``."""
     v = np.asarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):
         norm = _per_vector(np.linalg.norm, v)
-        big = np.isinf(norm)
-        if big.any():
-            big &= np.isfinite(v).all(axis=-1)
-            s = np.where(big, np.abs(v).max(axis=-1), 1.0)
-            norm = np.where(big, s * _per_vector(np.linalg.norm, v / s[..., None]), norm)
     norm = np.where(norm < L2_FLOOR, 0.0, norm)
     out = v / np.where(norm == 0.0, 1.0, norm)[..., None]
+    big = np.isinf(norm)
+    if big.any():
+        big &= np.isfinite(v).all(axis=-1)
+        s = np.where(big, np.abs(v).max(axis=-1), 1.0)[..., None]
+        r = np.where(big, _per_vector(np.linalg.norm, v / s), 1.0)[..., None]
+        with np.errstate(over="ignore"):
+            norm = np.where(big, (s * r)[..., 0], norm)
+        out = np.where(big[..., None], v / s / r, out)
     return out, L2Tape(unit=out, norm=norm)
 
 

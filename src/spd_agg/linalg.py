@@ -119,6 +119,8 @@ def sym_eigvals(a: np.ndarray) -> np.ndarray:
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic PCG64 stream; one seed, one bit-exact sequence."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 

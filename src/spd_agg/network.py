@@ -65,7 +65,6 @@ from .stiefel import (
 )
 
 __all__ = [
-    "NormFlags",
     "PipelineConfig",
     "TrainConfig",
     "MixParams",
@@ -85,20 +84,19 @@ __all__ = [
     "gradcheck_instance",
 ]
 
-#: Epoch-loss improvement below this counts as a plateau epoch.
+#: The plateau schedule of :func:`train`: an epoch whose mean training
+#: loss improves by less than ``MIN_LOSS_DELTA`` is a plateau epoch, and
+#: after ``PLATEAU_PATIENCE`` of them in a row the rate of the stage is
+#: divided by ``DECAY_FACTOR``.
 MIN_LOSS_DELTA = 1e-4
+PLATEAU_PATIENCE = 3
+DECAY_FACTOR = 10.0
 
 #: Float64 values (256 KiB) the widest per-sample array of a slice may
 #: hold across the slice: the input maps (C0 x N), the aggregated maps
 #: (C x N) or the aggregated matrix (C x C).  Larger slices stop paying
 #: once a layer's stack leaves the cache, and they raise peak memory.
 SLICE_VALUES = 32_768
-
-
-@dataclass(frozen=True)
-class NormFlags:
-    power: bool = True
-    l2: bool = True
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,8 @@ class PipelineConfig:
     num_classes: int
     use_spd_relu: bool = False
     aggregator: str = "kernel"
-    normalizations: NormFlags = NormFlags()
+    power_norm: bool = True
+    l2_norm: bool = True
 
     def __post_init__(self):
         if self.in_channels < 1 or self.transform_dim < 1 or self.num_classes < 1:
@@ -136,39 +135,29 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization knobs.  ``lr_stiefel = None`` tracks the Euclidean rate.
+    """Optimization knobs.  The rate of a stage drives the Euclidean and
+    the manifold steps alike.
 
     ``freeze_stiefel`` keeps the randomly initialized compression fixed
-    (the no-learning ablation); ``train_mix_in_stage1`` overrides the
-    default stage-1 freeze of the channel mixer.
+    (the no-learning ablation).
     """
 
     lr_stage1: float = 0.1
     lr_stage2: float = 0.001
-    lr_stiefel: float | None = None
-    decay_factor: float = 10.0
-    plateau_patience: int = 3
     batch_size: int = 32
     epochs_per_stage: int = 15
     seed: int = 0
     freeze_stiefel: bool = False
-    train_mix_in_stage1: bool = False
 
     def __post_init__(self):
-        for key in ("lr_stage1", "lr_stage2", "lr_stiefel", "decay_factor"):
+        for key in ("lr_stage1", "lr_stage2"):
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
         if self.lr_stage1 < 0 or self.lr_stage2 < 0:
             raise ValueError("learning rates must be >= 0")
-        if self.lr_stiefel is not None and self.lr_stiefel < 0:
-            raise ValueError("lr_stiefel must be >= 0 when given")
-        if self.decay_factor <= 1.0:
-            raise ValueError("decay_factor must exceed 1")
-        if self.plateau_patience < 1 or self.batch_size < 1 or self.epochs_per_stage < 0:
-            raise ValueError("patience and batch size must be >= 1, epochs >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.batch_size < 1 or self.epochs_per_stage < 0:
+            raise ValueError("batch size must be >= 1, epochs >= 0")
 
 
 @dataclass
@@ -391,9 +380,9 @@ def _logits(
     v = vectorize(y)
     power_tape = None
     l2_tape = None
-    if config.normalizations.power:
+    if config.power_norm:
         v, power_tape = power_normalize(v)
-    if config.normalizations.l2:
+    if config.l2_norm:
         v, l2_tape = l2_normalize(v)
 
     logits = dense_logits(v, params.head)
@@ -463,9 +452,9 @@ def backward(
     differentiated, and no prefix tape is read.
     """
     dv = tapes.dense_grads.v
-    if config.normalizations.l2:
+    if config.l2_norm:
         dv = l2_normalize_backward(tapes.l2_tape, dv)
-    if config.normalizations.power:
+    if config.power_norm:
         dv = power_normalize_backward(tapes.power_tape, dv)
     grad_y = vectorize_backward(dv, config.transform_dim)
     if tapes.relu_mask is not None:
@@ -566,22 +555,6 @@ def _ordered_sum(total: np.ndarray | None, stack: np.ndarray) -> np.ndarray:
     return np.cumsum(stack, axis=0)[-1]
 
 
-def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(dataset, tuple):
-        samples, labels = dataset
-    else:
-        samples, labels = dataset.samples, dataset.labels
-    samples = np.asarray(samples, dtype=np.float64)
-    labels = np.asarray(labels)
-    if samples.ndim != 4 or len(samples) != len(labels):
-        raise ShapeMismatchError(
-            f"dataset needs (n, C, H, W) samples with matching labels, got {samples.shape}"
-        )
-    if len(labels) == 0:
-        raise ValueError("dataset is empty")
-    return samples, labels
-
-
 def train(
     dataset,
     pipeline: PipelineConfig,
@@ -590,13 +563,15 @@ def train(
 ) -> tuple[Params, list[MetricsRecord]]:
     """Two-stage SGD over the pipeline; returns final params and metrics.
 
-    Stage 1 trains the new layers with the channel mixer frozen; stage 2
-    trains everything.  The learning rate of a stage is divided by
-    ``decay_factor`` whenever the epoch mean training loss fails to
-    improve by ``MIN_LOSS_DELTA`` for ``plateau_patience`` consecutive
-    epochs.  Batch gradients are ordered sums over the batch divided by
-    the batch size; every random choice comes from the seeded generator,
-    so runs are reproducible bit-for-bit.
+    ``dataset`` and the optional ``test_dataset`` are
+    :class:`~spd_agg.data.FtsDataset` objects, neither empty.  Stage 1
+    trains the new layers with the channel mixer frozen; stage 2 trains
+    everything.  The learning rate of a stage, used by the Euclidean and
+    the manifold steps alike, is divided by ``DECAY_FACTOR`` whenever the
+    epoch mean training loss fails to improve by ``MIN_LOSS_DELTA`` for
+    ``PLATEAU_PATIENCE`` consecutive epochs.  Batch gradients are ordered
+    sums over the batch divided by the batch size; every random choice
+    comes from the seeded generator, so runs are reproducible bit-for-bit.
 
     While a stage does not train the mixer, each sample's aggregated
     matrix is a constant.  The first such epoch then aggregates every
@@ -608,20 +583,20 @@ def train(
     non-finite value through :func:`_located`, naming the epoch, the
     sample and the layer; a non-finite epoch mean loss names the epoch.
     """
-    samples, labels = _dataset_arrays(dataset)
+    sets = [dataset] if test_dataset is None else [dataset, test_dataset]
+    if any(len(ds) == 0 for ds in sets):
+        raise ValueError("dataset is empty")
+    labels = dataset.labels
     n = len(labels)
     if labels.min() < 0 or labels.max() >= pipeline.num_classes:
         raise ValueError(
             f"labels must lie in [0, {pipeline.num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    sets = [(samples, labels)]
-    if test_dataset is not None:
-        sets.append(_dataset_arrays(test_dataset))
     names = ("sample", "held-out sample")
-    steps = [_slice_size(pipeline, x.shape[2] * x.shape[3]) for x, _ in sets]
+    steps = [_slice_size(pipeline, ds.shape[1] * ds.shape[2]) for ds in sets]
     step = min(tc.batch_size, steps[0])
-    fits = all(_cache_fits(pipeline, x) for x, _ in sets)
+    fits = all(_cache_fits(pipeline, ds.samples) for ds in sets)
     cache: list[np.ndarray] | None = None  # per set, while the prefix is frozen
 
     rng = seeded_rng(tc.seed)
@@ -633,7 +608,7 @@ def train(
         """Aggregated matrices and prefix tapes of set ``which`` at ``ids``."""
         if cache is not None:
             return cache[which][ids], _NO_PREFIX
-        return _aggregate(sets[which][0][ids], params, pipeline)
+        return _aggregate(sets[which].samples[ids], params, pipeline)
 
     def where(which: int) -> str:
         return f"epoch {global_epoch}, {names[which]}"
@@ -643,7 +618,7 @@ def train(
         decay_mult = 1.0
         best_loss = math.inf
         bad_epochs = 0
-        train_mix = params.mix is not None and (stage == 2 or tc.train_mix_in_stage1)
+        train_mix = params.mix is not None and stage == 2
         if train_mix:
             cache = None
         # The gradient blocks the update below applies.
@@ -658,14 +633,13 @@ def train(
                 cache = [
                     np.concatenate(
                         [
-                            _located(lambda j: aggregated(w, j)[0], ids, len(x), where(w))
-                            for ids in _slices(len(x), steps[w])
+                            _located(lambda j: aggregated(w, j)[0], ids, len(ds), where(w))
+                            for ids in _slices(len(ds), steps[w])
                         ]
                     )
-                    for w, (x, _) in enumerate(sets)
+                    for w, ds in enumerate(sets)
                 ]
             lr = base_lr / decay_mult
-            stiefel_lr = (tc.lr_stiefel if tc.lr_stiefel is not None else base_lr) / decay_mult
             order = rng.permutation(n)
             losses: list[float] = []
             correct = 0
@@ -697,7 +671,7 @@ def train(
                 if not tc.freeze_stiefel:
                     try:
                         tangent = tangent_project(params.transform, total["stiefel_euclid"] * scale)
-                        params.transform = retract_step(params.transform, tangent, stiefel_lr)
+                        params.transform = retract_step(params.transform, tangent, lr)
                     except SingularMatrixError as e:
                         raise SingularMatrixError(
                             f"retraction failed at epoch {global_epoch}, batch {batch_no}: {e}"
@@ -719,15 +693,15 @@ def train(
                 bad_epochs = 0
             else:
                 bad_epochs += 1
-                if bad_epochs >= tc.plateau_patience:
-                    decay_mult *= tc.decay_factor
+                if bad_epochs >= PLATEAU_PATIENCE:
+                    decay_mult *= DECAY_FACTOR
                     bad_epochs = 0
 
             test_acc = None
             if len(sets) > 1:
                 test_acc = _accuracy(
                     lambda ids: _classes(aggregated(1, ids)[0], params, pipeline),
-                    sets[1][1],
+                    sets[1].labels,
                     steps[1],
                     where(1),
                 )
@@ -778,22 +752,17 @@ FD_STEP = 1e-5
 GRADCHECK_PARAM_CAP = 5000
 
 
-def gradcheck_instance(
-    pipeline: PipelineConfig, seed: int, height: int = 3, width: int = 3
-) -> tuple[np.ndarray, int, Params]:
-    """The (input, label, params) triple :func:`grad_check` derives from a seed."""
+def gradcheck_instance(pipeline: PipelineConfig, seed: int) -> tuple[np.ndarray, int, Params]:
+    """The (input, label, params) triple :func:`grad_check` derives from a
+    seed; the input is one sample of 3 x 3 maps."""
     rng = seeded_rng(seed)
-    x = rng.standard_normal((pipeline.in_channels, height, width))
+    x = rng.standard_normal((pipeline.in_channels, 3, 3))
     label = int(rng.integers(pipeline.num_classes))
     return x, label, init_params(pipeline, rng, random_head=True)
 
 
 def grad_check(
-    pipeline: PipelineConfig,
-    seed: int = 0,
-    tolerance: float = 1e-5,
-    height: int = 3,
-    width: int = 3,
+    pipeline: PipelineConfig, seed: int = 0, tolerance: float = 1e-5
 ) -> GradCheckReport:
     """Compare every analytic gradient block against central differences.
 
@@ -813,7 +782,7 @@ def grad_check(
             f"check is capped at {GRADCHECK_PARAM_CAP}"
         )
 
-    x, label, params = gradcheck_instance(pipeline, seed, height, width)
+    x, label, params = gradcheck_instance(pipeline, seed)
 
     _, _, tapes = forward(x, label, params, pipeline)
     frozen = tapes.kernel.sigma if tapes.kernel is not None else None

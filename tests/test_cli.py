@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import pathlib
+import re
 import struct
 import warnings
 import zlib
@@ -6,14 +9,16 @@ import zlib
 import numpy as np
 import pytest
 
-from spd_agg.cli import main, parse_config
+from spd_agg.cli import _FIELD_TYPES, _JSON_TYPES, main, parse_config
 from spd_agg import (
-    NormFlags,
     PipelineConfig,
+    TrainConfig,
     init_params,
     save_checkpoint,
     seeded_rng,
 )
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, argv):
@@ -54,17 +59,42 @@ class TestParseConfig:
         assert pipeline.in_channels == 16 and pipeline.aggregator == "kernel"
         assert tc.lr_stage1 == 0.1 and tc.epochs_per_stage == 15
 
-    def test_nested_normalizations(self):
-        pipeline, _ = parse_config({"normalizations": {"power": False, "l2": True}})
-        assert pipeline.normalizations == NormFlags(power=False, l2=True)
+    def test_flat_normalization_keys(self):
+        pipeline, _ = parse_config({"power_norm": False, "l2_norm": True})
+        assert not pipeline.power_norm and pipeline.l2_norm
+
+    def test_readme_example_holds_every_field(self):
+        # The README example is the full config: every field of the two
+        # dataclasses, and nothing else; every field type has a JSON type.
+        section = README.read_text(encoding="utf-8").split("### Config JSON", 1)[1]
+        raw = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        parse_config(raw)
+        fields = {f.name for cls in (PipelineConfig, TrainConfig) for f in dataclasses.fields(cls)}
+        assert set(raw) == fields
+        assert set(_FIELD_TYPES.values()) == set(_JSON_TYPES)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             parse_config({"learning_rate": 0.1})
 
-    def test_unknown_normalization_rejected(self):
-        with pytest.raises(ValueError, match="normalization"):
-            parse_config({"normalizations": {"batch": True}})
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"normalizations": {"power": True, "l2": True}},
+            {"lr_stiefel": None},
+            {"decay_factor": 10.0},
+            {"plateau_patience": 3},
+            {"train_mix_in_stage1": False},
+        ],
+        ids=lambda removed: next(iter(removed)),
+    )
+    def test_removed_key_fails_cleanly(self, small_run, tmp_path, capsys, removed):
+        data, _ = small_run
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**SMALL_CONFIG, **removed}))
+        code, out, err = run(capsys, ["train", "--data", str(data), "--config", str(old)])
+        assert code == 1 and out == ""
+        assert err == f"error: unknown config keys: {list(removed)}\n"
 
     @pytest.mark.parametrize(
         "text, key",
@@ -76,12 +106,10 @@ class TestParseConfig:
             ('{"seed": 1.5}', "seed"),
             ('{"seed": -1}', "seed"),
             ('{"batch_size": null}', "batch_size"),
-            ('{"normalizations": {"power": "no"}}', "normalizations.power"),
+            ('{"power_norm": "no"}', "power_norm"),
+            ('{"l2_norm": 1}', "l2_norm"),
             ('{"lr_stage1": NaN}', "lr_stage1"),
             ('{"lr_stage2": Infinity}', "lr_stage2"),
-            ('{"lr_stiefel": NaN}', "lr_stiefel"),
-            ('{"decay_factor": NaN}', "decay_factor"),
-            ('{"decay_factor": Infinity}', "decay_factor"),
         ],
     )
     def test_malformed_value_fails_cleanly(self, small_run, tmp_path, capsys, text, key):
@@ -337,6 +365,33 @@ class TestCertify:
         _, out_a, _ = run(capsys, args)
         _, out_b, _ = run(capsys, args)
         assert out_a == out_b
+
+
+class TestRefusedFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synth", "--classes", "2", "--per-class", "2", "--channels", "3",
+              "--spatial", "2", "--seed", "-1", "--out", "ds.fts"], "seed must be >= 0, got -1"),
+            (["gradcheck", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["certify", "--aggregator", "kernel", "--channels", "4", "--spatial", "2",
+              "--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["certify", "--aggregator", "kernel", "--channels", "4", "--spatial", "2",
+              "--trials", "0", "--seed", "0"], "--trials must be >= 1, got 0"),
+            (["certify", "--aggregator", "covariance", "--channels", "4", "--spatial", "2",
+              "--trials", "-2", "--seed", "0"], "--trials must be >= 1, got -2"),
+            (["gradcheck", "--tol", "nan"], "--tol must be finite, got nan"),
+            (["gradcheck", "--tol", "inf"], "--tol must be finite, got inf"),
+        ],
+        ids=["synth-seed", "gradcheck-seed", "certify-seed", "trials-0", "trials-minus-2",
+             "tol-nan", "tol-inf"],
+    )
+    def test_value_refused_by_name(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "ds.fts").exists()
 
 
 class TestUsageErrors:

@@ -13,7 +13,6 @@ from spd_agg import (
     FtsDataset,
     FtsParseError,
     MixParams,
-    NormFlags,
     Params,
     PipelineConfig,
     ShapeMismatchError,
@@ -206,7 +205,7 @@ class TestCheckpoint:
         pipeline = PipelineConfig(
             in_channels=6, mixed_channels=5, transform_dim=3, num_classes=4,
             use_spd_relu=True, aggregator="covariance",
-            normalizations=NormFlags(power=False, l2=True),
+            power_norm=False, l2_norm=True,
         )
         params = Params(
             mix=MixParams(weights=rng.standard_normal((5, 6)), bias=rng.standard_normal(5)),

@@ -136,6 +136,20 @@ class TestL2Normalize:
         assert np.array_equal(stacked[0], l2_normalize(stack[0])[0])
         assert np.allclose(stacked[2], [-np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15)
 
+    def test_norm_above_largest_float(self):
+        # ||v|| = 1.8e308 overflows even after the rescale: the unit is
+        # still exact, and the backward's 1 / ||v|| rounds to zero, with
+        # no warning (tier-1 turns one into an error).
+        v = np.full(36, 3e307)
+        out, tape = l2_normalize(v)
+        assert np.array_equal(out, np.full(36, 1 / 6)) and tape.norm == np.inf
+        grad = l2_normalize_backward(tape, seeded_rng(7).standard_normal(36))
+        assert np.array_equal(grad, np.zeros(36))
+        stack = np.stack([np.arange(36.0), v])
+        stacked, stacked_tape = l2_normalize(stack)
+        assert np.array_equal(stacked[1], out) and stacked_tape.norm[1] == np.inf
+        assert np.array_equal(stacked[0], l2_normalize(stack[0])[0])
+
     def test_gradient(self):
         rng = seeded_rng(6)
         v = rng.standard_normal(7)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import spd_agg.network as network_mod
 from spd_agg import (
+    FtsDataset,
     MetricsRecord,
     MixParams,
     NonFiniteError,
-    NormFlags,
     PipelineConfig,
     ShapeMismatchError,
     SingularMatrixError,
@@ -225,7 +225,7 @@ class TestGradCheck:
     def test_no_mixer_and_no_norms_pass(self):
         pipe = PipelineConfig(
             in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2,
-            normalizations=NormFlags(power=False, l2=False),
+            power_norm=False, l2_norm=False,
         )
         report = grad_check(pipe, seed=1, tolerance=1e-5)
         assert report.all_passed, report.max_rel_err
@@ -284,17 +284,6 @@ class TestTrain:
         initial = init_params(pipe, seeded_rng(6))
         assert np.array_equal(params.mix.weights, initial.mix.weights)
         assert not np.array_equal(params.head.weights, initial.head.weights)
-
-    def test_stage1_mixer_override(self):
-        ds = tiny_dataset()
-        pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
-        tc = TrainConfig(
-            lr_stage1=0.05, lr_stage2=0.0, epochs_per_stage=2, seed=6, batch_size=8,
-            train_mix_in_stage1=True,
-        )
-        params, _ = train(ds, pipe, tc)
-        initial = init_params(pipe, seeded_rng(6))
-        assert not np.array_equal(params.mix.weights, initial.mix.weights)
 
     def test_frozen_stiefel_ablation(self):
         ds = tiny_dataset()
@@ -361,27 +350,28 @@ class TestTrain:
 
     def test_nan_sample_aborts_with_name(self):
         # A NaN seen while the aggregated matrices are cached (stage 1
-        # freezes the mixer), in a training slice (the mixer trains) and
-        # in the held-out set: each names epoch, sample and layer.
-        pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+        # freezes the mixer), in a training slice (no mixer and 2 x 2
+        # maps: C*C = 36 > C0*N = 24, so nothing is cached) and in the
+        # held-out set: each names epoch, sample and layer.
+        cached = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+        uncached = PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2)
         layer = ": non-finite values first appeared in: input feature tensor$"
         cases = [
-            (0, False, False, "at epoch 1, sample 0" + layer),
-            (5, True, False, "at epoch 1, sample 5" + layer),
-            (5, False, True, "at epoch 1, held-out sample 5" + layer),
+            (cached, 3, 0, False, "at epoch 1, sample 0" + layer),
+            (uncached, 2, 5, False, "at epoch 1, sample 5" + layer),
+            (cached, 3, 5, True, "at epoch 1, held-out sample 5" + layer),
         ]
-        for index, train_mix, held_out, message in cases:
-            ds = tiny_dataset(seed=4)
-            bad = tiny_dataset(seed=4)
+        tc = TrainConfig(epochs_per_stage=1, seed=0, batch_size=4)
+        for pipe, side, index, held_out, message in cases:
+            ds = tiny_dataset(seed=4, h=side, w=side)
+            bad = tiny_dataset(seed=4, h=side, w=side)
             bad.samples[index, 0, 0, 0] = np.nan
-            tc = TrainConfig(
-                epochs_per_stage=1, seed=0, batch_size=4, train_mix_in_stage1=train_mix
-            )
+            assert network_mod._cache_fits(pipe, ds.samples) == (pipe is cached)
             with pytest.raises(NonFiniteError, match=message):
                 if held_out:
-                    train(ds, pipe, tc, test_dataset=(bad.samples, bad.labels))
+                    train(ds, pipe, tc, test_dataset=bad)
                 else:
-                    train((bad.samples, bad.labels), pipe, tc)
+                    train(bad, pipe, tc)
 
     def test_nan_loss_aborts(self):
         # lr_stage1 = 1.7e308 with W frozen: after the first minibatch the
@@ -403,13 +393,13 @@ class TestTrain:
         ds = tiny_dataset(seed=4)
         pipe = PipelineConfig(
             in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2,
-            aggregator="covariance", normalizations=NormFlags(power=False, l2=False),
+            aggregator="covariance", power_norm=False, l2_norm=False,
         )
         tc = TrainConfig(epochs_per_stage=1, seed=0, batch_size=4)
         message = "at epoch 1, sample 2: non-finite values first appeared in: classifier logits$"
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match=message):
-                train((ds.samples * 1e100, ds.labels), pipe, tc)
+                train(FtsDataset(ds.samples * 1e100, ds.labels, 2), pipe, tc)
 
     def test_held_out_failure_above_compression_named(self, monkeypatch):
         ds, held_out = tiny_dataset(seed=4), tiny_dataset(seed=9)
@@ -443,7 +433,10 @@ class TestTrain:
         for step in (1, 3, 7):
             monkeypatch.setattr(network_mod, "SLICE_VALUES", step * 36)
             with pytest.raises(NonFiniteError) as caught:
-                train((samples, ds.labels), pipe, TrainConfig(epochs_per_stage=1, batch_size=7))
+                train(
+                    FtsDataset(samples, ds.labels, 2), pipe,
+                    TrainConfig(epochs_per_stage=1, batch_size=7),
+                )
             assert str(caught.value) == message, step
 
     def test_non_finite_epoch_loss_aborts(self):
@@ -483,17 +476,17 @@ class TestTrain:
         pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
         with pytest.raises(ValueError, match="empty"):
             train(
-                (np.zeros((0, 6, 3, 3)), np.zeros(0, dtype=int)), pipe,
+                FtsDataset(np.zeros((0, 6, 3, 3)), np.zeros(0, dtype=int), 2), pipe,
                 TrainConfig(epochs_per_stage=1),
             )
 
     def test_out_of_range_label_rejected(self):
-        ds = tiny_dataset(seed=6)
+        # A valid 3-class dataset reaches train's own check of the labels
+        # against a 2-class pipeline.
+        ds = synth_generate(num_classes=3, per_class=4, c0=6, h=3, w=3, seed=6)
         pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
-        labels = ds.labels.copy()
-        labels[0] = 5
-        with pytest.raises(ValueError, match="labels must lie"):
-            train((ds.samples, labels), pipe, TrainConfig(epochs_per_stage=1))
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\), got range \[0, 2\]"):
+            train(ds, pipe, TrainConfig(epochs_per_stage=1))
 
 
 #: Pipelines whose stage 1 caches the aggregated matrices of the 3 x 3
@@ -508,7 +501,7 @@ CACHED_PIPELINES = [
     PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2),
     PipelineConfig(
         in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2,
-        normalizations=NormFlags(power=False, l2=False),
+        power_norm=False, l2_norm=False,
     ),
 ]
 
@@ -535,19 +528,18 @@ class TestAggregateCache:
             assert np.array_equal(cached.mix.bias, plain.mix.bias)
 
     @pytest.mark.parametrize(
-        "pipe, train_mix, shape, per_epoch",
+        "pipe, shape, per_epoch",
         [
             # Stage 1 aggregates once; stage 2 trains the mixer.
-            (CACHED_PIPELINES[0], False, (3, 3), [26, 0, 26, 26]),
-            (CACHED_PIPELINES[1], False, (3, 3), [26, 0, 26, 26]),
-            (CACHED_PIPELINES[0], True, (3, 3), [26, 26, 26, 26]),
+            (CACHED_PIPELINES[0], (3, 3), [26, 0, 26, 26]),
+            (CACHED_PIPELINES[1], (3, 3), [26, 0, 26, 26]),
             # No mixer: both stages share one cache ...
-            (CACHED_PIPELINES[2], False, (3, 3), [26, 0, 0, 0]),
+            (CACHED_PIPELINES[2], (3, 3), [26, 0, 0, 0]),
             # ... unless C*C = 36 > C0*N = 24.
-            (CACHED_PIPELINES[2], False, (2, 2), [26, 26, 26, 26]),
+            (CACHED_PIPELINES[2], (2, 2), [26, 26, 26, 26]),
         ],
     )
-    def test_samples_aggregated_per_epoch(self, monkeypatch, pipe, train_mix, shape, per_epoch):
+    def test_samples_aggregated_per_epoch(self, monkeypatch, pipe, shape, per_epoch):
         # Samples aggregated per epoch; an epoch ends with its record.
         counts = [0]
         true_record = network_mod.MetricsRecord
@@ -569,7 +561,7 @@ class TestAggregateCache:
         h, w = shape
         ds = tiny_dataset(seed=13, h=h, w=w)
         held_out = tiny_dataset(seed=14, per_class=5, h=h, w=w)
-        tc = TrainConfig(epochs_per_stage=2, seed=0, batch_size=5, train_mix_in_stage1=train_mix)
+        tc = TrainConfig(epochs_per_stage=2, seed=0, batch_size=5)
         train(ds, pipe, tc, test_dataset=held_out)
         assert counts[:-1] == per_epoch and counts[-1] == 0
 
@@ -590,10 +582,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(lr_stage1=-0.1)
 
-    def test_decay_factor_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            TrainConfig(decay_factor=1.0)
-
 
 #: Pipelines the batched chain must reproduce sample by sample: both
 #: aggregators, with and without mixer, matrix ReLU and normalizations.
@@ -611,7 +599,7 @@ BATCH_PIPELINES = [
                    use_spd_relu=True),
     PipelineConfig(
         in_channels=6, mixed_channels=5, transform_dim=3, num_classes=3,
-        normalizations=NormFlags(power=False, l2=False),
+        power_norm=False, l2_norm=False,
     ),
 ]
 
@@ -681,7 +669,7 @@ class TestBatchedChain:
     @pytest.mark.parametrize("pipe", BATCH_PIPELINES[:3])
     def test_training_independent_of_slice_size(self, monkeypatch, pipe):
         ds = tiny_dataset(seed=3)
-        tc = TrainConfig(epochs_per_stage=2, seed=4, batch_size=7, train_mix_in_stage1=True)
+        tc = TrainConfig(epochs_per_stage=2, seed=4, batch_size=7)
         widest = max(pipe.in_channels, pipe.feature_channels) * 9
         runs = []
         for step in (1, 3, 7):
