@@ -38,7 +38,6 @@ from .head import (
 )
 from .network import (
     GradCheckReport,
-    Grads,
     MetricsRecord,
     MixParams,
     Params,
@@ -52,6 +51,7 @@ from .network import (
     init_params,
     mix_backward,
     mix_forward,
+    param_shapes,
     predict,
     train,
 )

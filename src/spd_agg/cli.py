@@ -27,7 +27,6 @@ import math
 import sys
 
 from .data import FtsDataset, fts_read, fts_write, load_checkpoint, save_checkpoint, synth_generate
-from .errors import FtsParseError, NonFiniteError, ShapeMismatchError, SingularMatrixError
 from .kernel import certify, covariance_forward, kernel_forward
 from .linalg import seeded_rng
 from .network import PipelineConfig, TrainConfig, evaluate_accuracy, grad_check, train
@@ -274,17 +273,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        FtsParseError,
-        NonFiniteError,
-        ShapeMismatchError,
-        SingularMatrixError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (ValueError, OSError) as e:  # the package's own errors subclass ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -20,8 +20,9 @@ header fixes every other byte::
     magic "FTSP" | version u32 = 2 | in_channels u32 | mixed_channels u32 |
     transform_dim u32 | num_classes u32 | use_spd_relu u32 |
     aggregator u32 (0 kernel, 1 covariance) | power u32 | l2 u32 |
-    payload: float64 row-major, in the order mix.weights, mix.bias (both
-    only when mixed_channels > 0), stiefel.w, dense.weights, dense.bias |
+    payload: float64 row-major, in the order of network.param_shapes:
+    mix.weights, mix.bias (both only when mixed_channels > 0), stiefel.w,
+    dense.weights, dense.bias |
     CRC32 u32 of every byte before it
 
 The four codes are 0 or 1.  A file of any other length than the header
@@ -38,10 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FtsParseError, NonFiniteError, ShapeMismatchError
-from .head import DenseParams
 from .linalg import matmul, seeded_rng
-from .network import MixParams, Params, PipelineConfig
-from .stiefel import StiefelPoint
+from .network import Params, PipelineConfig, param_shapes
 
 __all__ = [
     "FtsDataset",
@@ -230,29 +229,10 @@ def split_by_class(dataset: FtsDataset, train_per_class: int) -> tuple[FtsDatase
     )
 
 
-def _block_shapes(pipeline: PipelineConfig) -> dict[str, tuple[int, ...]]:
-    """The parameter blocks of an FTSP file for ``pipeline``, in file
-    order, with their shapes."""
-    shapes = {}
-    if pipeline.mixed_channels:
-        shapes["mix.weights"] = (pipeline.mixed_channels, pipeline.in_channels)
-        shapes["mix.bias"] = (pipeline.mixed_channels,)
-    shapes["stiefel.w"] = (pipeline.feature_channels, pipeline.transform_dim)
-    shapes["dense.weights"] = (pipeline.num_classes, pipeline.head_dim)
-    shapes["dense.bias"] = (pipeline.num_classes,)
-    return shapes
-
-
 def save_checkpoint(path, params: Params, pipeline: PipelineConfig) -> None:
     """Serialize trained parameters plus the pipeline configuration."""
-    arrays = {
-        "stiefel.w": params.transform.w,
-        "dense.weights": params.head.weights,
-        "dense.bias": params.head.bias,
-    }
-    if params.mix is not None:
-        arrays.update({"mix.weights": params.mix.weights, "mix.bias": params.mix.bias})
-    shapes = _block_shapes(pipeline)
+    arrays = params.blocks()
+    shapes = param_shapes(pipeline)
     got = {name: np.shape(a) for name, a in arrays.items()}
     if got != shapes:
         raise ShapeMismatchError(f"parameter shapes {got} do not match the pipeline's {shapes}")
@@ -308,7 +288,7 @@ def load_checkpoint(path) -> tuple[Params, PipelineConfig]:
         )
     except ValueError as e:
         raise FtsParseError(f"header is not a valid pipeline: {e}") from e
-    shapes = _block_shapes(pipeline)
+    shapes = param_shapes(pipeline)
     sizes = [math.prod(shape) for shape in shapes.values()]
     expected = least + 8 * sum(sizes)
     if len(buf) != expected:
@@ -323,14 +303,7 @@ def load_checkpoint(path) -> tuple[Params, PipelineConfig]:
         if not np.isfinite(part).all():
             raise FtsParseError(f"block {name!r} contains non-finite values")
         blocks[name] = part.reshape(shape)
-    mix = None
-    if pipeline.mixed_channels:
-        mix = MixParams(weights=blocks["mix.weights"], bias=blocks["mix.bias"])
-    params = Params(
-        mix=mix,
-        transform=StiefelPoint(blocks["stiefel.w"]),
-        head=DenseParams(weights=blocks["dense.weights"], bias=blocks["dense.bias"]),
-    )
+    params = Params.from_blocks(blocks)
     # Orthonormal columns have entries in [-1, 1]; refusing larger ones
     # first keeps W^T W from overflowing.
     if np.abs(params.transform.w).max() > 1.0 + CKPT_ORTHO_TOL:

@@ -69,9 +69,9 @@ __all__ = [
     "TrainConfig",
     "MixParams",
     "Params",
-    "Grads",
     "MetricsRecord",
     "GradCheckReport",
+    "param_shapes",
     "init_params",
     "mix_forward",
     "mix_backward",
@@ -176,11 +176,50 @@ class MixParams:
             )
 
 
+def param_shapes(config: PipelineConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter blocks of ``config`` with their shapes, in checkpoint
+    order.  These names key :meth:`Params.blocks`, the gradients of
+    :func:`backward` and the gradient check."""
+    shapes = {}
+    if config.mixed_channels:
+        shapes["mix.weights"] = (config.mixed_channels, config.in_channels)
+        shapes["mix.bias"] = (config.mixed_channels,)
+    shapes["stiefel.w"] = (config.feature_channels, config.transform_dim)
+    shapes["dense.weights"] = (config.num_classes, config.head_dim)
+    shapes["dense.bias"] = (config.num_classes,)
+    return shapes
+
+
 @dataclass
 class Params:
     mix: MixParams | None
     transform: StiefelPoint
     head: DenseParams
+
+    def blocks(self) -> dict[str, np.ndarray]:
+        """The parameter arrays (not copies) under the names of
+        :func:`param_shapes`, in its order."""
+        blocks = {}
+        if self.mix is not None:
+            blocks["mix.weights"] = self.mix.weights
+            blocks["mix.bias"] = self.mix.bias
+        blocks["stiefel.w"] = self.transform.w
+        blocks["dense.weights"] = self.head.weights
+        blocks["dense.bias"] = self.head.bias
+        return blocks
+
+    @classmethod
+    def from_blocks(cls, blocks: dict[str, np.ndarray]) -> Params:
+        """The inverse of :meth:`blocks`; the mixer only when its blocks
+        are there."""
+        mix = None
+        if "mix.weights" in blocks:
+            mix = MixParams(weights=blocks["mix.weights"], bias=blocks["mix.bias"])
+        return cls(
+            mix=mix,
+            transform=StiefelPoint(blocks["stiefel.w"]),
+            head=DenseParams(weights=blocks["dense.weights"], bias=blocks["dense.bias"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -208,21 +247,6 @@ class PipelineTapes:
     l2_tape: L2Tape | None
     logits: np.ndarray
     dense_grads: DenseGrads
-
-
-@dataclass
-class Grads:
-    """Gradient blocks of one sample, or per sample of a stack.  ``None``
-    marks a block :func:`backward` was asked to skip (or no mixer).
-    ``stiefel_euclid`` is the Euclidean partial in W, not projected onto
-    the tangent space."""
-
-    mix_weights: np.ndarray | None
-    mix_bias: np.ndarray | None
-    stiefel_euclid: np.ndarray
-    dense_weights: np.ndarray
-    dense_bias: np.ndarray
-    input: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -440,16 +464,17 @@ def backward(
     *,
     mix: bool = True,
     input: bool = True,
-) -> Grads:
+) -> dict[str, np.ndarray]:
     """Chain all layer adjoints back from the loss, for one sample or per
     sample of a stack.
 
-    The compression gradient is the raw Euclidean partial (what entrywise
+    Returns the gradient blocks under the names of :func:`param_shapes`,
+    in its order, then ``"input"``.  ``mix=False`` leaves out the mixer
+    blocks and ``input=False`` the input gradient; with neither wanted,
+    nothing below the compression is differentiated, and no prefix tape
+    is read.  ``"stiefel.w"`` is the raw Euclidean partial (what entrywise
     finite differences measure); :func:`train` projects the minibatch sum
     onto the tangent space once, as projection is linear.
-    ``mix=False`` skips the mixer gradients and ``input=False`` the input
-    gradient; with neither wanted, nothing below the compression is
-    differentiated, and no prefix tape is read.
     """
     dv = tapes.dense_grads.v
     if config.l2_norm:
@@ -460,31 +485,24 @@ def backward(
     if tapes.relu_mask is not None:
         grad_y = grad_y * tapes.relu_mask
 
-    stiefel_euclid = transform_backward_param(tapes.transform, grad_y)
-
-    d_weights = d_bias = grad_input = None
+    grads = {}
     if input or (mix and tapes.mix is not None):
         grad_agg = transform_backward_input(tapes.transform, grad_y)
         if config.aggregator == "kernel":
-            grad_maps = kernel_backward(tapes.kernel, grad_agg)
+            grad_input = kernel_backward(tapes.kernel, grad_agg)
         else:
-            grad_maps = covariance_backward(tapes.agg_input, grad_agg)
-        grad_input = grad_maps
+            grad_input = covariance_backward(tapes.agg_input, grad_agg)
         if tapes.mix is not None:
-            d_weights, d_bias, grad_input = mix_backward(tapes.mix, grad_maps, input=input)
-            if not mix:
-                d_weights = d_bias = None
-        if input:
-            grad_input = grad_input.reshape(tapes.x.shape)
+            d_weights, d_bias, grad_input = mix_backward(tapes.mix, grad_input, input=input)
+            if mix:
+                grads["mix.weights"], grads["mix.bias"] = d_weights, d_bias
 
-    return Grads(
-        mix_weights=d_weights,
-        mix_bias=d_bias,
-        stiefel_euclid=stiefel_euclid,
-        dense_weights=tapes.dense_grads.weights,
-        dense_bias=tapes.dense_grads.bias,
-        input=grad_input,
-    )
+    grads["stiefel.w"] = transform_backward_param(tapes.transform, grad_y)
+    grads["dense.weights"] = tapes.dense_grads.weights
+    grads["dense.bias"] = tapes.dense_grads.bias
+    if input:
+        grads["input"] = grad_input.reshape(tapes.x.shape)
+    return grads
 
 
 def _slice_size(config: PipelineConfig, positions: int) -> int:
@@ -523,6 +541,16 @@ def _located(run, ids, n: int, where: str):
         raise
 
 
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Refuse an empty set, or a label outside ``[0, num_classes)``."""
+    if len(labels) == 0:
+        raise ValueError("dataset is empty")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(
+            f"labels must lie in [0, {num_classes}), got range [{labels.min()}, {labels.max()}]"
+        )
+
+
 def _accuracy(classes, labels: np.ndarray, step: int, where: str) -> float:
     """Fraction of ``labels`` matched by ``classes(ids)``, taken over
     slices of ``step`` samples in dataset order; a non-finite value is
@@ -537,11 +565,14 @@ def _accuracy(classes, labels: np.ndarray, step: int, where: str) -> float:
 def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -> float:
     """Fraction of correct argmax predictions over (n, C, H, W) samples,
     predicted in slices of stacked samples, in dataset order.  A
-    non-finite value names the sample and the layer."""
+    non-finite value names the sample and the layer.  An empty set, or a
+    label outside ``[0, num_classes)``, is refused with ``ValueError``."""
     samples = np.asarray(samples, dtype=np.float64)
+    labels = np.asarray(labels)
+    _check_labels(labels, config.num_classes)
     step = _slice_size(config, samples.shape[-2] * samples.shape[-1])
     return _accuracy(
-        lambda ids: predict(samples[ids], params, config), np.asarray(labels), step, "sample"
+        lambda ids: predict(samples[ids], params, config), labels, step, "sample"
     )
 
 
@@ -564,14 +595,15 @@ def train(
     """Two-stage SGD over the pipeline; returns final params and metrics.
 
     ``dataset`` and the optional ``test_dataset`` are
-    :class:`~spd_agg.data.FtsDataset` objects, neither empty.  Stage 1
-    trains the new layers with the channel mixer frozen; stage 2 trains
-    everything.  The learning rate of a stage, used by the Euclidean and
-    the manifold steps alike, is divided by ``DECAY_FACTOR`` whenever the
-    epoch mean training loss fails to improve by ``MIN_LOSS_DELTA`` for
-    ``PLATEAU_PATIENCE`` consecutive epochs.  Batch gradients are ordered
-    sums over the batch divided by the batch size; every random choice
-    comes from the seeded generator, so runs are reproducible bit-for-bit.
+    :class:`~spd_agg.data.FtsDataset` objects, neither empty, with labels
+    in ``[0, num_classes)``.  Stage 1 trains the new layers with the
+    channel mixer frozen; stage 2 trains everything.  The learning rate
+    of a stage, used by the Euclidean and the manifold steps alike, is
+    divided by ``DECAY_FACTOR`` whenever the epoch mean training loss
+    fails to improve by ``MIN_LOSS_DELTA`` for ``PLATEAU_PATIENCE``
+    consecutive epochs.  Batch gradients are ordered sums over the batch
+    divided by the batch size; every random choice comes from the seeded
+    generator, so runs are reproducible bit-for-bit.
 
     While a stage does not train the mixer, each sample's aggregated
     matrix is a constant.  The first such epoch then aggregates every
@@ -584,15 +616,10 @@ def train(
     sample and the layer; a non-finite epoch mean loss names the epoch.
     """
     sets = [dataset] if test_dataset is None else [dataset, test_dataset]
-    if any(len(ds) == 0 for ds in sets):
-        raise ValueError("dataset is empty")
+    for ds in sets:
+        _check_labels(ds.labels, pipeline.num_classes)
     labels = dataset.labels
     n = len(labels)
-    if labels.min() < 0 or labels.max() >= pipeline.num_classes:
-        raise ValueError(
-            f"labels must lie in [0, {pipeline.num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
     names = ("sample", "held-out sample")
     steps = [_slice_size(pipeline, ds.shape[1] * ds.shape[2]) for ds in sets]
     step = min(tc.batch_size, steps[0])
@@ -621,10 +648,6 @@ def train(
         train_mix = params.mix is not None and stage == 2
         if train_mix:
             cache = None
-        # The gradient blocks the update below applies.
-        applied = ["dense_weights", "dense_bias"]
-        applied += [] if tc.freeze_stiefel else ["stiefel_euclid"]
-        applied += ["mix_weights", "mix_bias"] if train_mix else []
 
         for _ in range(tc.epochs_per_stage):
             t0 = time.perf_counter()
@@ -662,25 +685,25 @@ def train(
                     grads = backward(tapes, pipeline, mix=train_mix, input=False)
                     losses.extend(loss.tolist())
                     correct += int((pred == labels[ids]).sum())
-                    total = {k: _ordered_sum(total.get(k), getattr(grads, k)) for k in applied}
+                    total = {k: _ordered_sum(total.get(k), g) for k, g in grads.items()}
                 scale = 1.0 / len(batch)
 
-                if train_mix and lr != 0.0:
-                    params.mix.weights = params.mix.weights - lr * (total["mix_weights"] * scale)
-                    params.mix.bias = params.mix.bias - lr * (total["mix_bias"] * scale)
-                if not tc.freeze_stiefel:
-                    try:
-                        tangent = tangent_project(params.transform, total["stiefel_euclid"] * scale)
-                        params.transform = retract_step(params.transform, tangent, lr)
-                    except SingularMatrixError as e:
-                        raise SingularMatrixError(
-                            f"retraction failed at epoch {global_epoch}, batch {batch_no}: {e}"
-                        ) from e
-                if lr != 0.0:
-                    params.head.weights = params.head.weights - lr * (
-                        total["dense_weights"] * scale
-                    )
-                    params.head.bias = params.head.bias - lr * (total["dense_bias"] * scale)
+                # W takes the manifold step, every other block the
+                # Euclidean one.
+                blocks = params.blocks()
+                for name, grad in total.items():
+                    if name != "stiefel.w":
+                        if lr != 0.0:
+                            blocks[name] = blocks[name] - lr * (grad * scale)
+                    elif not tc.freeze_stiefel:
+                        try:
+                            tangent = tangent_project(params.transform, grad * scale)
+                            blocks[name] = retract_step(params.transform, tangent, lr).w
+                        except SingularMatrixError as e:
+                            raise SingularMatrixError(
+                                f"retraction failed at epoch {global_epoch}, batch {batch_no}: {e}"
+                            ) from e
+                params = Params.from_blocks(blocks)
                 max_orth = max(max_orth, params.transform.orthogonality_error())
 
             # np.cumsum adds in sample order on every Python version
@@ -771,11 +794,7 @@ def grad_check(
     probe differentiates exactly the path the analytic backward covers.
     Relative error uses the denominator max(1, |analytic|).
     """
-    n_params = (
-        (pipeline.mixed_channels * pipeline.in_channels + pipeline.mixed_channels)
-        + pipeline.feature_channels * pipeline.transform_dim
-        + pipeline.num_classes * (pipeline.head_dim + 1)
-    )
+    n_params = sum(math.prod(shape) for shape in param_shapes(pipeline).values())
     if n_params > GRADCHECK_PARAM_CAP:
         raise ValueError(
             f"configuration has {n_params} parameters; the finite-difference "
@@ -791,17 +810,9 @@ def grad_check(
     def loss_with(p: Params, xs: np.ndarray) -> float:
         return forward(xs, label, p, pipeline, frozen_sigma=frozen)[0]
 
-    blocks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    if params.mix is not None:
-        blocks["mix.weights"] = (params.mix.weights, analytic.mix_weights)
-        blocks["mix.bias"] = (params.mix.bias, analytic.mix_bias)
-    blocks["stiefel.w"] = (params.transform.w, analytic.stiefel_euclid)
-    blocks["dense.weights"] = (params.head.weights, analytic.dense_weights)
-    blocks["dense.bias"] = (params.head.bias, analytic.dense_bias)
-    blocks["input"] = (x, analytic.input)
-
     report = GradCheckReport(tolerance=tolerance)
-    for name, (value, grad) in blocks.items():
+    # The arrays themselves: perturbing an entry perturbs the forward.
+    for name, value in (params.blocks() | {"input": x}).items():
         numeric = np.zeros_like(value)
         flat = value.reshape(-1)
         num_flat = numeric.reshape(-1)
@@ -813,6 +824,7 @@ def grad_check(
             down = loss_with(params, x)
             flat[i] = orig
             num_flat[i] = (up - down) / (2.0 * FD_STEP)
+        grad = analytic[name]
         rel = np.abs(grad - numeric) / np.maximum(1.0, np.abs(grad))
         worst = float(rel.max()) if rel.size else 0.0
         report.max_rel_err[name] = worst

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import os
 import pathlib
 import re
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
 
@@ -18,7 +21,8 @@ from spd_agg import (
     seeded_rng,
 )
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run(capsys, argv):
@@ -392,6 +396,32 @@ class TestRefusedFlags:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
         assert not (tmp_path / "ds.fts").exists()
+
+
+class TestModuleEntry:
+    """``python3 -m spd_agg.cli`` runs the CLI, exit code included."""
+
+    def run_module(self, *argv):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "spd_agg.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_gradcheck_prints_report(self):
+        done = self.run_module("gradcheck")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["all_passed"] is True
+        assert done.stderr == ""
+
+    def test_refused_value_exits_1(self):
+        done = self.run_module(
+            "certify", "--aggregator", "kernel", "--channels", "4", "--spatial", "2",
+            "--trials", "0", "--seed", "0",
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == "error: --trials must be >= 1, got 0\n"
 
 
 class TestUsageErrors:

@@ -11,6 +11,7 @@ from spd_agg import (
     MetricsRecord,
     MixParams,
     NonFiniteError,
+    Params,
     PipelineConfig,
     ShapeMismatchError,
     SingularMatrixError,
@@ -18,12 +19,14 @@ from spd_agg import (
     backward,
     certify,
     covariance_forward,
+    evaluate_accuracy,
     forward,
     grad_check,
     init_params,
     kernel_forward,
     mix_backward,
     mix_forward,
+    param_shapes,
     retract_step,
     seeded_rng,
     synth_generate,
@@ -195,14 +198,8 @@ class TestBackward:
         x = seeded_rng(15).standard_normal((6, 3, 3))
         _, _, tapes = forward(x, 0, params, pipe)
         grads = backward(tapes, pipe)
-        for block in (
-            grads.mix_weights,
-            grads.mix_bias,
-            grads.stiefel_euclid,
-            grads.dense_weights,
-            grads.dense_bias,
-            grads.input,
-        ):
+        assert tuple(grads) == GRAD_BLOCKS
+        for block in grads.values():
             assert not np.any(block)
 
 
@@ -235,7 +232,7 @@ class TestGradCheck:
 
         def corrupted(tapes, config):
             grads = true_backward(tapes, config)
-            grads.stiefel_euclid = grads.stiefel_euclid * 1.01
+            grads["stiefel.w"] = grads["stiefel.w"] * 1.01
             return grads
 
         monkeypatch.setattr(network_mod, "backward", corrupted)
@@ -480,6 +477,15 @@ class TestTrain:
                 TrainConfig(epochs_per_stage=1),
             )
 
+    def test_out_of_range_held_out_label_rejected(self):
+        # Labels of 5 make a valid 6-class held-out set, out of range for
+        # a 2-class pipeline.
+        ds = tiny_dataset()
+        held_out = FtsDataset(ds.samples[:3], np.full(3, 5), 6)
+        pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\), got range \[5, 5\]"):
+            train(ds, pipe, TrainConfig(epochs_per_stage=1), test_dataset=held_out)
+
     def test_out_of_range_label_rejected(self):
         # A valid 3-class dataset reaches train's own check of the labels
         # against a 2-class pipeline.
@@ -566,6 +572,20 @@ class TestAggregateCache:
         assert counts[:-1] == per_epoch and counts[-1] == 0
 
 
+class TestEvaluateAccuracy:
+    def test_empty_set_rejected(self):
+        params = init_params(SMALL, seeded_rng(0))
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            evaluate_accuracy(np.zeros((0, 6, 3, 3)), np.zeros(0, dtype=int), params, SMALL)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_out_of_range_label_rejected(self, label):
+        params = init_params(SMALL, seeded_rng(0))
+        samples = seeded_rng(1).standard_normal((2, 6, 3, 3))
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            evaluate_accuracy(samples, np.array([0, label]), params, SMALL)
+
+
 class TestConfigValidation:
     def test_transform_dim_capped_by_channels(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -603,9 +623,20 @@ BATCH_PIPELINES = [
     ),
 ]
 
-GRAD_BLOCKS = (
-    "mix_weights", "mix_bias", "stiefel_euclid", "dense_weights", "dense_bias", "input",
-)
+GRAD_BLOCKS = ("mix.weights", "mix.bias", "stiefel.w", "dense.weights", "dense.bias", "input")
+
+
+class TestParamTable:
+    @pytest.mark.parametrize("pipe", BATCH_PIPELINES)
+    def test_blocks_follow_the_table(self, pipe):
+        params = init_params(pipe, seeded_rng(22), random_head=True)
+        blocks = params.blocks()
+        assert [(k, v.shape) for k, v in blocks.items()] == list(param_shapes(pipe).items())
+        assert (params.mix is None) == ("mix.weights" not in blocks)
+        rebuilt = Params.from_blocks(blocks).blocks()
+        assert rebuilt.keys() == blocks.keys()
+        for name in blocks:
+            assert np.array_equal(rebuilt[name], blocks[name]), name
 
 
 class TestBatchedChain:
@@ -624,10 +655,7 @@ class TestBatchedChain:
             grads = backward(tapes, pipe)
             single_losses.append(loss)
             single_logits.append(tapes.logits)
-            for name in GRAD_BLOCKS:
-                block = getattr(grads, name)
-                if block is None:
-                    continue
+            for name, block in grads.items():
                 if name in single_total:
                     single_total[name] += block
                 else:
@@ -640,9 +668,8 @@ class TestBatchedChain:
             grads = backward(tapes, pipe)
             losses.extend(loss)
             logits.extend(tapes.logits)
-            for name in GRAD_BLOCKS:
-                if getattr(grads, name) is not None:
-                    total[name] = network_mod._ordered_sum(total.get(name), getattr(grads, name))
+            for name, block in grads.items():
+                total[name] = network_mod._ordered_sum(total.get(name), block)
 
         assert np.array_equal(losses, single_losses)
         assert np.array_equal(logits, single_logits)
@@ -658,13 +685,10 @@ class TestBatchedChain:
         full = backward(tapes, SMALL)
         for mix in (True, False):
             part = backward(tapes, SMALL, mix=mix, input=False)
-            assert part.input is None
-            for name in GRAD_BLOCKS[:-1]:
-                block = getattr(part, name)
-                if name.startswith("mix") and not mix:
-                    assert block is None
-                else:
-                    assert np.array_equal(block, getattr(full, name)), name
+            kept = GRAD_BLOCKS[:-1] if mix else GRAD_BLOCKS[2:-1]
+            assert tuple(part) == kept
+            for name in kept:
+                assert np.array_equal(part[name], full[name]), name
 
     @pytest.mark.parametrize("pipe", BATCH_PIPELINES[:3])
     def test_training_independent_of_slice_size(self, monkeypatch, pipe):
