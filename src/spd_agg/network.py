@@ -45,6 +45,7 @@ from .head import (
 )
 from .kernel import (
     KernelTape,
+    compute_sigma,
     covariance_backward,
     covariance_forward,
     kernel_backward,
@@ -354,12 +355,11 @@ def mix_backward(
     return matmul(gz, tape.m0.swapaxes(-1, -2)), gz.sum(axis=-1), d_input
 
 
-def _aggregate(
-    x, params: Params, config: PipelineConfig, frozen_sigma: float | None = None
-) -> tuple[np.ndarray, dict]:
-    """The prefix of the chain: input checks, the mixer and the kernel or
-    covariance aggregation; returns (aggregated matrix, prefix tape
-    fields)."""
+def _features(
+    x, params: Params, config: PipelineConfig
+) -> tuple[np.ndarray, MixTape | None, np.ndarray]:
+    """Input checks and the mixer; returns (input, mixer tape, maps
+    entering aggregation)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (3, 4):
         raise ShapeMismatchError(f"input must be (C, H, W) or (B, C, H, W), got shape {x.shape}")
@@ -368,12 +368,19 @@ def _aggregate(
             f"input has {x.shape[-3]} channels, config expects {config.in_channels}"
         )
     _assert_finite("input feature tensor", x)
+    if not config.mixed_channels:
+        return x, None, x
+    feats, mix_tape = mix_forward(x, params.mix)
+    return x, mix_tape, feats
 
-    mix_tape = None
-    feats = x
-    if config.mixed_channels:
-        feats, mix_tape = mix_forward(x, params.mix)
 
+def _aggregate(
+    x, params: Params, config: PipelineConfig, frozen_sigma: float | np.ndarray | None = None
+) -> tuple[np.ndarray, dict]:
+    """The prefix of the chain: :func:`_features`, then the kernel or
+    covariance aggregation; returns (aggregated matrix, prefix tape
+    fields)."""
+    x, mix_tape, feats = _features(x, params, config)
     if config.aggregator == "kernel":
         aggregate, kernel_tape = kernel_forward(feats, sigma=frozen_sigma)
     else:
@@ -438,7 +445,7 @@ def forward(
     label: int | np.ndarray,
     params: Params,
     config: PipelineConfig,
-    frozen_sigma: float | None = None,
+    frozen_sigma: float | np.ndarray | None = None,
 ) -> tuple[float | np.ndarray, int | np.ndarray, PipelineTapes]:
     """Run the full chain for one sample; returns (loss, argmax class, tapes).
 
@@ -565,10 +572,13 @@ def _accuracy(classes, labels: np.ndarray, step: int, where: str) -> float:
 def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -> float:
     """Fraction of correct argmax predictions over (n, C, H, W) samples,
     predicted in slices of stacked samples, in dataset order.  A
-    non-finite value names the sample and the layer.  An empty set, or a
-    label outside ``[0, num_classes)``, is refused with ``ValueError``."""
+    non-finite value names the sample and the layer.  An empty set, a
+    label count other than the sample count, or a label outside
+    ``[0, num_classes)`` is refused with ``ValueError``."""
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels)
+    if len(labels) != len(samples):
+        raise ValueError(f"got {len(labels)} labels for {len(samples)} samples")
     _check_labels(labels, config.num_classes)
     step = _slice_size(config, samples.shape[-2] * samples.shape[-1])
     return _accuracy(
@@ -608,12 +618,16 @@ def train(
     While a stage does not train the mixer, each sample's aggregated
     matrix is a constant.  The first such epoch then aggregates every
     training and held-out sample once, and the stage starts every slice
-    from those matrices, as long as they fit (:func:`_cache_fits`).  A
-    stage that trains the mixer drops them.
+    from those matrices, as long as they fit (:func:`_cache_fits`).
+    Where they do not fit and the aggregator is the kernel, that epoch
+    instead computes each sample's bandwidth once (one float64 per
+    sample), and every slice of the stage aggregates with it.  A stage
+    that trains the mixer drops both.
 
-    Every slice (the cache build, training and held-out) reports a
-    non-finite value through :func:`_located`, naming the epoch, the
-    sample and the layer; a non-finite epoch mean loss names the epoch.
+    Every slice (the cache or bandwidth pass, training and held-out)
+    reports a non-finite value through :func:`_located`, naming the
+    epoch, the sample and the layer; a non-finite epoch mean loss names
+    the epoch.
     """
     sets = [dataset] if test_dataset is None else [dataset, test_dataset]
     for ds in sets:
@@ -624,7 +638,10 @@ def train(
     steps = [_slice_size(pipeline, ds.shape[1] * ds.shape[2]) for ds in sets]
     step = min(tc.batch_size, steps[0])
     fits = all(_cache_fits(pipeline, ds.samples) for ds in sets)
-    cache: list[np.ndarray] | None = None  # per set, while the prefix is frozen
+    # Per set, while the prefix is frozen: the aggregated matrices, or
+    # the kernel bandwidths where the matrices do not fit.
+    cache: list[np.ndarray] | None = None
+    sigmas: list[np.ndarray] | None = None
 
     rng = seeded_rng(tc.seed)
     params = init_params(pipeline, rng)
@@ -635,10 +652,27 @@ def train(
         """Aggregated matrices and prefix tapes of set ``which`` at ``ids``."""
         if cache is not None:
             return cache[which][ids], _NO_PREFIX
-        return _aggregate(sets[which].samples[ids], params, pipeline)
+        sigma = None if sigmas is None else sigmas[which][ids]
+        return _aggregate(sets[which].samples[ids], params, pipeline, sigma)
+
+    def bandwidth(which: int, ids) -> np.ndarray:
+        """Kernel bandwidths of set ``which`` at ``ids``, input checked."""
+        return compute_sigma(_features(sets[which].samples[ids], params, pipeline)[2])
 
     def where(which: int) -> str:
         return f"epoch {global_epoch}, {names[which]}"
+
+    def per_sample(run) -> list[np.ndarray]:
+        """``run(which, ids)`` over every sample of every set, in slices."""
+        return [
+            np.concatenate(
+                [
+                    _located(lambda j: run(w, j), ids, len(ds), where(w))
+                    for ids in _slices(len(ds), steps[w])
+                ]
+            )
+            for w, ds in enumerate(sets)
+        ]
 
     for stage in (1, 2):
         base_lr = tc.lr_stage1 if stage == 1 else tc.lr_stage2
@@ -647,21 +681,16 @@ def train(
         bad_epochs = 0
         train_mix = params.mix is not None and stage == 2
         if train_mix:
-            cache = None
+            cache = sigmas = None
 
         for _ in range(tc.epochs_per_stage):
             t0 = time.perf_counter()
             global_epoch += 1
-            if cache is None and fits and not train_mix:
-                cache = [
-                    np.concatenate(
-                        [
-                            _located(lambda j: aggregated(w, j)[0], ids, len(ds), where(w))
-                            for ids in _slices(len(ds), steps[w])
-                        ]
-                    )
-                    for w, ds in enumerate(sets)
-                ]
+            if not train_mix and cache is None and sigmas is None:
+                if fits:
+                    cache = per_sample(lambda w, j: aggregated(w, j)[0])
+                elif pipeline.aggregator == "kernel":
+                    sigmas = per_sample(bandwidth)
             lr = base_lr / decay_mult
             order = rng.permutation(n)
             losses: list[float] = []

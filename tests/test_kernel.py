@@ -39,6 +39,15 @@ class TestComputeSigma:
         m = rng.standard_normal((5, 7))
         assert compute_sigma(m) == sigma_double_loop(m)
 
+    # N = 4, 36 and 196: below, inside and above numpy's pairwise-sum
+    # block sizes.
+    @pytest.mark.parametrize("side", [2, 6, 14])
+    def test_stack_gives_each_sample_its_own_bits(self, side):
+        x = seeded_rng(3).standard_normal((5, 12, side, side))
+        stacked = compute_sigma(x)
+        assert stacked.shape == (5,)
+        assert stacked.tolist() == [float(compute_sigma(sample)) for sample in x]
+
     def test_single_row_rejected(self):
         with pytest.raises(ValueError, match="two feature maps"):
             compute_sigma(np.ones((1, 5)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spd_agg.kernel as kernel_mod
 import spd_agg.network as network_mod
 from spd_agg import (
     FtsDataset,
@@ -42,12 +43,12 @@ def tiny_dataset(seed=0, per_class=8, c0=6, h=3, w=3):
     return synth_generate(num_classes=2, per_class=per_class, c0=c0, h=h, w=w, seed=seed)
 
 
-def poison_compression(monkeypatch, bad_sample):
-    """Make the compressed matrix NaN wherever the aggregated matrix is the
-    kernel matrix of ``bad_sample`` (for a pipeline without a mixer): a
-    failure above the compression keyed on the sample's content, not on
-    its row in a slice."""
-    key = kernel_forward(bad_sample)[0]
+def poison_compression(monkeypatch, bad_sample, aggregate=lambda x: kernel_forward(x)[0]):
+    """Make the compressed matrix NaN wherever the aggregated matrix is
+    ``aggregate(bad_sample)`` (for a pipeline without a mixer): a failure
+    above the compression keyed on the sample's content, not on its row
+    in a slice."""
+    key = aggregate(bad_sample)
     true_transform = network_mod.transform_forward
 
     def poisoned(k, w):
@@ -347,11 +348,14 @@ class TestTrain:
 
     def test_nan_sample_aborts_with_name(self):
         # A NaN seen while the aggregated matrices are cached (stage 1
-        # freezes the mixer), in a training slice (no mixer and 2 x 2
-        # maps: C*C = 36 > C0*N = 24, so nothing is cached) and in the
-        # held-out set: each names epoch, sample and layer.
+        # freezes the mixer), in a training slice (covariance, no mixer
+        # and 2 x 2 maps: C*C = 36 > C0*N = 24, so nothing is cached) and
+        # in the held-out set: each names epoch, sample and layer.
         cached = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
-        uncached = PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2)
+        uncached = PipelineConfig(
+            in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2,
+            aggregator="covariance",
+        )
         layer = ": non-finite values first appeared in: input feature tensor$"
         cases = [
             (cached, 3, 0, False, "at epoch 1, sample 0" + layer),
@@ -369,6 +373,41 @@ class TestTrain:
                     train(ds, pipe, tc, test_dataset=bad)
                 else:
                     train(bad, pipe, tc)
+
+    @pytest.mark.parametrize("mixed", [0, 5])
+    @pytest.mark.parametrize("held_out", [False, True])
+    def test_nan_sample_named_by_bandwidth_pass(self, monkeypatch, mixed, held_out):
+        # Kernel at 2 x 2 maps: C*C = 36 or 25 > C0*N = 24, so epoch 1
+        # first computes every bandwidth.  That pass finds a NaN before
+        # any step, even in the training sample the epoch takes last, and
+        # names epoch, sample and layer.
+        pipe = PipelineConfig(in_channels=6, mixed_channels=mixed, transform_dim=3, num_classes=2)
+        ds = tiny_dataset(seed=4, h=2, w=2)
+        assert not network_mod._cache_fits(pipe, ds.samples)
+        rng = seeded_rng(0)
+        init_params(pipe, rng)
+        last = int(rng.permutation(len(ds.labels))[-1])
+        bad = tiny_dataset(seed=4, h=2, w=2)
+        bad.samples[last, 0, 0, 0] = np.nan
+        steps = []
+
+        def counted(w, step, lr):
+            steps.append(lr)
+            return retract_step(w, step, lr)
+
+        monkeypatch.setattr(network_mod, "retract_step", counted)
+        name = "held-out sample" if held_out else "sample"
+        message = (
+            f"^non-finite value at epoch 1, {name} {last}: "
+            "non-finite values first appeared in: input feature tensor$"
+        )
+        tc = TrainConfig(epochs_per_stage=1, seed=0, batch_size=4)
+        with pytest.raises(NonFiniteError, match=message):
+            if held_out:
+                train(ds, pipe, tc, test_dataset=bad)
+            else:
+                train(bad, pipe, tc)
+        assert steps == []
 
     def test_nan_loss_aborts(self):
         # lr_stage1 = 1.7e308 with W frozen: after the first minibatch the
@@ -413,16 +452,20 @@ class TestTrain:
         # compression, the later (a NaN) at the input.  A slice holding
         # both fails at the input first, yet the message names the
         # earlier sample, as a slice of one does.  With no mixer and
-        # C*C = 36 > C0*N = 24, nothing is cached.
+        # C*C = 36 > C0*N = 24, nothing is cached, and the covariance
+        # has no bandwidth to cache.
         ds = tiny_dataset(seed=3, h=2, w=2)
-        pipe = PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2)
+        pipe = PipelineConfig(
+            in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2,
+            aggregator="covariance",
+        )
         rng = seeded_rng(0)
         init_params(pipe, rng)
         order = rng.permutation(len(ds.labels))
         first, later = int(order[0]), int(order[2])
         samples = ds.samples.copy()
         samples[later, 0, 0, 0] = np.nan
-        poison_compression(monkeypatch, samples[first])
+        poison_compression(monkeypatch, samples[first], covariance_forward)
         message = (
             f"non-finite value at epoch 1, sample {first}: "
             "non-finite values first appeared in: compressed matrix"
@@ -512,64 +555,95 @@ CACHED_PIPELINES = [
 ]
 
 
+def assert_cache_changes_no_bit(monkeypatch, pipe, shape, name, uncached):
+    """Train ``pipe`` on ``shape`` maps as it is, then with the module
+    attribute ``name`` replaced by ``uncached(original)``: the metrics
+    lines and every parameter block must be identical."""
+    h, w = shape
+    ds = tiny_dataset(seed=11, h=h, w=w)
+    held_out = tiny_dataset(seed=12, per_class=4, h=h, w=w)
+    # A stage-2 rate that moves the mixer, so a stale cache would show.
+    tc = TrainConfig(epochs_per_stage=2, seed=3, batch_size=5, lr_stage2=0.05)
+    runs = []
+    for replace in (False, True):
+        if replace:
+            monkeypatch.setattr(network_mod, name, uncached(getattr(network_mod, name)))
+        params, history = train(ds, pipe, tc, test_dataset=held_out)
+        runs.append(([r.to_json_line() for r in history], params.blocks()))
+    (lines, cached), (plain_lines, plain) = runs
+    assert lines == plain_lines
+    assert cached.keys() == plain.keys()
+    for block in cached:
+        assert np.array_equal(cached[block], plain[block]), block
+
+
 class TestAggregateCache:
     @pytest.mark.parametrize("pipe", CACHED_PIPELINES)
     def test_cache_changes_no_bit(self, monkeypatch, pipe):
-        ds, held_out = tiny_dataset(seed=11), tiny_dataset(seed=12, per_class=4)
-        assert network_mod._cache_fits(pipe, ds.samples)
-        # A stage-2 rate that moves the mixer, so a stale cache would show.
-        tc = TrainConfig(epochs_per_stage=2, seed=3, batch_size=5, lr_stage2=0.05)
-        runs = []
-        for fits in (network_mod._cache_fits, lambda config, samples: False):
-            monkeypatch.setattr(network_mod, "_cache_fits", fits)
-            params, history = train(ds, pipe, tc, test_dataset=held_out)
-            runs.append(([h.to_json_line() for h in history], params))
-        (lines, cached), (plain_lines, plain) = runs
-        assert lines == plain_lines
-        assert np.array_equal(cached.transform.w, plain.transform.w)
-        assert np.array_equal(cached.head.weights, plain.head.weights)
-        assert np.array_equal(cached.head.bias, plain.head.bias)
-        if pipe.mixed_channels:
-            assert np.array_equal(cached.mix.weights, plain.mix.weights)
-            assert np.array_equal(cached.mix.bias, plain.mix.bias)
+        assert network_mod._cache_fits(pipe, tiny_dataset(seed=11).samples)
+        assert_cache_changes_no_bit(
+            monkeypatch, pipe, (3, 3), "_cache_fits", lambda fits: lambda config, samples: False
+        )
+
+    # No mixer, then a mixer: at 2 x 2 maps C*C = 36 or 25 > C0*N = 24.
+    @pytest.mark.parametrize("pipe", [CACHED_PIPELINES[2], CACHED_PIPELINES[0]])
+    def test_bandwidth_cache_changes_no_bit(self, monkeypatch, pipe):
+        assert not network_mod._cache_fits(pipe, tiny_dataset(seed=11, h=2, w=2).samples)
+
+        def ignoring_sigma(aggregate):
+            return lambda x, params, config, frozen_sigma=None: aggregate(x, params, config)
+
+        assert_cache_changes_no_bit(monkeypatch, pipe, (2, 2), "_aggregate", ignoring_sigma)
 
     @pytest.mark.parametrize(
         "pipe, shape, per_epoch",
         [
             # Stage 1 aggregates once; stage 2 trains the mixer.
-            (CACHED_PIPELINES[0], (3, 3), [26, 0, 26, 26]),
-            (CACHED_PIPELINES[1], (3, 3), [26, 0, 26, 26]),
+            (CACHED_PIPELINES[0], (3, 3), ([26, 0, 26, 26], [26, 0, 26, 26])),
+            (CACHED_PIPELINES[1], (3, 3), ([26, 0, 26, 26], [0, 0, 0, 0])),
             # No mixer: both stages share one cache ...
-            (CACHED_PIPELINES[2], (3, 3), [26, 0, 0, 0]),
-            # ... unless C*C = 36 > C0*N = 24.
-            (CACHED_PIPELINES[2], (2, 2), [26, 26, 26, 26]),
+            (CACHED_PIPELINES[2], (3, 3), ([26, 0, 0, 0], [26, 0, 0, 0])),
+            # ... unless C*C = 36 > C0*N = 24: then they share the
+            # bandwidths ...
+            (CACHED_PIPELINES[2], (2, 2), ([26, 26, 26, 26], [26, 0, 0, 0])),
+            # ... which with a mixer (25 > 24) last only while stage 1
+            # freezes it.
+            (CACHED_PIPELINES[0], (2, 2), ([26, 26, 26, 26], [26, 0, 26, 26])),
         ],
     )
     def test_samples_aggregated_per_epoch(self, monkeypatch, pipe, shape, per_epoch):
-        # Samples aggregated per epoch; an epoch ends with its record.
-        counts = [0]
+        # Samples aggregated, and bandwidths computed, per epoch; an epoch
+        # ends with its record.
+        aggregated, bandwidths = [0], [0]
         true_record = network_mod.MetricsRecord
 
-        def spy(fn):
+        def spy(module, name, counts):
+            fn = getattr(module, name)
+
             def counted(x, *args, **kwargs):
                 counts[-1] += 1 if np.ndim(x) == 3 else len(x)
                 return fn(x, *args, **kwargs)
 
-            return counted
+            monkeypatch.setattr(module, name, counted)
 
         def record(*args, **kwargs):
-            counts.append(0)
+            aggregated.append(0)
+            bandwidths.append(0)
             return true_record(*args, **kwargs)
 
-        for name in ("kernel_forward", "covariance_forward"):
-            monkeypatch.setattr(network_mod, name, spy(getattr(network_mod, name)))
+        spy(network_mod, "kernel_forward", aggregated)
+        spy(network_mod, "covariance_forward", aggregated)
+        # kernel_forward calls compute_sigma from its own module.
+        spy(network_mod, "compute_sigma", bandwidths)
+        spy(kernel_mod, "compute_sigma", bandwidths)
         monkeypatch.setattr(network_mod, "MetricsRecord", record)
         h, w = shape
         ds = tiny_dataset(seed=13, h=h, w=w)
         held_out = tiny_dataset(seed=14, per_class=5, h=h, w=w)
         tc = TrainConfig(epochs_per_stage=2, seed=0, batch_size=5)
         train(ds, pipe, tc, test_dataset=held_out)
-        assert counts[:-1] == per_epoch and counts[-1] == 0
+        assert (aggregated[:-1], bandwidths[:-1]) == per_epoch
+        assert aggregated[-1] == bandwidths[-1] == 0
 
 
 class TestEvaluateAccuracy:
@@ -584,6 +658,16 @@ class TestEvaluateAccuracy:
         samples = seeded_rng(1).standard_normal((2, 6, 3, 3))
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             evaluate_accuracy(samples, np.array([0, label]), params, SMALL)
+
+    @pytest.mark.parametrize("count", [2, 7])
+    def test_label_count_must_match_samples(self, monkeypatch, count):
+        # One sample per slice, the default at the eval_c64n196 shape:
+        # 2 labels for 5 samples would score 2 of them.
+        monkeypatch.setattr(network_mod, "SLICE_VALUES", 6 * 9)
+        params = init_params(SMALL, seeded_rng(0))
+        samples = seeded_rng(1).standard_normal((5, 6, 3, 3))
+        with pytest.raises(ValueError, match=f"^got {count} labels for 5 samples$"):
+            evaluate_accuracy(samples, np.zeros(count, dtype=int), params, SMALL)
 
 
 class TestConfigValidation:
