@@ -71,8 +71,8 @@ def vectorize(y: np.ndarray) -> np.ndarray:
         raise ValueError(f"vectorize input is not symmetric: ||y - y^T||_F = {asym:.3e}")
     c = y.shape[-1]
     rows, cols, scale = _triu(c)
-    # np.take keeps a stack's vectors contiguous, as a single vector is:
-    # the l2 step's BLAS reductions depend on the stride.
+    # np.take keeps each vector of a stack contiguous: the l2 step's
+    # stacked inner products take the BLAS dot only on contiguous vectors.
     return np.take(y.reshape(y.shape[:-2] + (c * c,)), rows * c + cols, axis=-1) * scale
 
 
@@ -111,12 +111,12 @@ class L2Tape(NamedTuple):
     norm: np.ndarray  # 0 marks a pass-through
 
 
-def _per_vector(fn, *arrays) -> np.ndarray:
-    """``fn`` applied to each vector along the last axis of same-shaped
-    ``arrays``, one call per vector, so a BLAS reduction gives a stacked
-    vector the bits it gives the vector on its own."""
-    flat = [a.reshape(-1, a.shape[-1]) for a in arrays]
-    return np.array([fn(*vs) for vs in zip(*flat)]).reshape(arrays[0].shape[:-1])
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each pair of vectors along the last axis of
+    same-shaped ``a`` and ``b``, in one call.  numpy hands each 1 x k by
+    k x 1 product of contiguous vectors to the BLAS dot of ``np.dot``, so
+    a stacked vector gets the bits ``np.dot`` gives it on its own."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def l2_normalize(v: np.ndarray) -> tuple[np.ndarray, L2Tape]:
@@ -129,24 +129,25 @@ def l2_normalize(v: np.ndarray) -> tuple[np.ndarray, L2Tape]:
     the bits of ``v / sqrt(v . v)``."""
     v = np.asarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):
-        norm = _per_vector(np.linalg.norm, v)
+        norm = np.sqrt(_dots(v, v))
     norm = np.where(norm < L2_FLOOR, 0.0, norm)
     out = v / np.where(norm == 0.0, 1.0, norm)[..., None]
     big = np.isinf(norm)
     if big.any():
         big &= np.isfinite(v).all(axis=-1)
         s = np.where(big, np.abs(v).max(axis=-1), 1.0)[..., None]
-        r = np.where(big, _per_vector(np.linalg.norm, v / s), 1.0)[..., None]
+        u = v / s
+        r = np.where(big, np.sqrt(_dots(u, u)), 1.0)[..., None]
         with np.errstate(over="ignore"):
             norm = np.where(big, (s * r)[..., 0], norm)
-        out = np.where(big[..., None], v / s / r, out)
+        out = np.where(big[..., None], u / r, out)
     return out, L2Tape(unit=out, norm=norm)
 
 
 def l2_normalize_backward(tape: L2Tape, grad_out: np.ndarray) -> np.ndarray:
     """Projection Jacobian (I - u u^T) / ||v||; identity on the pass-through."""
     g = np.asarray(grad_out, dtype=np.float64)
-    along = _per_vector(np.dot, tape.unit, g)
+    along = _dots(tape.unit, g)
     passed = tape.norm == 0.0
     out = (g - tape.unit * along[..., None]) / np.where(passed, 1.0, tape.norm)[..., None]
     return np.where(passed[..., None], g, out)

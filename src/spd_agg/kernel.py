@@ -100,7 +100,8 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
     x : (C, H, W) or (C, N) array with C >= 2, N >= 2, finite entries, or
         a (B, C, H, W) stack of samples, which gives a stack of B kernel
         matrices with one bandwidth each.
-    sigma : optional bandwidth override (one per sample for a stack).
+    sigma : optional bandwidth override: finite and positive, a scalar
+        for one sample and one per sample, shape (B,), for a stack.
         Finite-difference harnesses pass the tape value of a reference
         forward so the bandwidth stays frozen while inputs are perturbed;
         by default it is recomputed.
@@ -113,8 +114,12 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
         raise NonFiniteError("kernel aggregation input contains non-finite values")
     if sigma is None:
         sigma = compute_sigma(x)
-    elif np.any(np.asarray(sigma) <= 0.0):
-        raise ValueError(f"bandwidth must be positive, got {sigma}")
+    elif np.shape(sigma) != m.shape[:-2]:
+        raise ShapeMismatchError(
+            f"bandwidth shape {np.shape(sigma)} does not match the stack shape {m.shape[:-2]}"
+        )
+    elif not (np.isfinite(sigma) & (np.asarray(sigma) > 0.0)).all():
+        raise ValueError(f"bandwidth must be finite and positive, got {sigma}")
     gram = matmul(m, m.swapaxes(-1, -2))
     sq_norms = np.diagonal(gram, axis1=-2, axis2=-1)
     # Rounding can push squared distances a hair below zero; clamp so the

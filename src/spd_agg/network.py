@@ -45,7 +45,6 @@ from .head import (
 )
 from .kernel import (
     KernelTape,
-    compute_sigma,
     covariance_backward,
     covariance_forward,
     kernel_backward,
@@ -355,11 +354,12 @@ def mix_backward(
     return matmul(gz, tape.m0.swapaxes(-1, -2)), gz.sum(axis=-1), d_input
 
 
-def _features(
-    x, params: Params, config: PipelineConfig
-) -> tuple[np.ndarray, MixTape | None, np.ndarray]:
-    """Input checks and the mixer; returns (input, mixer tape, maps
-    entering aggregation)."""
+def _aggregate(
+    x, params: Params, config: PipelineConfig, frozen_sigma: float | np.ndarray | None = None
+) -> tuple[np.ndarray, dict]:
+    """The prefix of the chain: input checks, the mixer, then the kernel
+    or covariance aggregation; returns (aggregated matrix, prefix tape
+    fields)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (3, 4):
         raise ShapeMismatchError(f"input must be (C, H, W) or (B, C, H, W), got shape {x.shape}")
@@ -368,19 +368,9 @@ def _features(
             f"input has {x.shape[-3]} channels, config expects {config.in_channels}"
         )
     _assert_finite("input feature tensor", x)
-    if not config.mixed_channels:
-        return x, None, x
-    feats, mix_tape = mix_forward(x, params.mix)
-    return x, mix_tape, feats
-
-
-def _aggregate(
-    x, params: Params, config: PipelineConfig, frozen_sigma: float | np.ndarray | None = None
-) -> tuple[np.ndarray, dict]:
-    """The prefix of the chain: :func:`_features`, then the kernel or
-    covariance aggregation; returns (aggregated matrix, prefix tape
-    fields)."""
-    x, mix_tape, feats = _features(x, params, config)
+    feats, mix_tape = x, None
+    if config.mixed_channels:
+        feats, mix_tape = mix_forward(x, params.mix)
     if config.aggregator == "kernel":
         aggregate, kernel_tape = kernel_forward(feats, sigma=frozen_sigma)
     else:
@@ -616,18 +606,18 @@ def train(
     generator, so runs are reproducible bit-for-bit.
 
     While a stage does not train the mixer, each sample's aggregated
-    matrix is a constant.  The first such epoch then aggregates every
-    training and held-out sample once, and the stage starts every slice
-    from those matrices, as long as they fit (:func:`_cache_fits`).
-    Where they do not fit and the aggregator is the kernel, that epoch
-    instead computes each sample's bandwidth once (one float64 per
-    sample), and every slice of the stage aggregates with it.  A stage
-    that trains the mixer drops both.
+    matrix is a constant, and so is its kernel bandwidth.  The first
+    such epoch aggregates in its own training and held-out slices, as
+    any epoch does, and records each sample's matrix where the matrices
+    fit (:func:`_cache_fits`), else, for the kernel, its bandwidth (one
+    float64 per sample).  Each epoch visits every sample once, so later
+    epochs start every slice from the recorded matrices, or aggregate
+    with the recorded bandwidths.  A stage that trains the mixer drops
+    the records.
 
-    Every slice (the cache or bandwidth pass, training and held-out)
-    reports a non-finite value through :func:`_located`, naming the
-    epoch, the sample and the layer; a non-finite epoch mean loss names
-    the epoch.
+    Every slice, training and held-out, reports a non-finite value
+    through :func:`_located`, naming the epoch, the sample and the
+    layer; a non-finite epoch mean loss names the epoch.
     """
     sets = [dataset] if test_dataset is None else [dataset, test_dataset]
     for ds in sets:
@@ -638,10 +628,12 @@ def train(
     steps = [_slice_size(pipeline, ds.shape[1] * ds.shape[2]) for ds in sets]
     step = min(tc.batch_size, steps[0])
     fits = all(_cache_fits(pipeline, ds.samples) for ds in sets)
-    # Per set, while the prefix is frozen: the aggregated matrices, or
-    # the kernel bandwidths where the matrices do not fit.
-    cache: list[np.ndarray] | None = None
-    sigmas: list[np.ndarray] | None = None
+    # Per sample of each set while the prefix is frozen: the aggregated
+    # matrix where it fits, else the kernel bandwidth.  The first epoch of
+    # a frozen stage records them from its own slices; later epochs read
+    # them.
+    frozen: list[np.ndarray] | None = None
+    recording = False
 
     rng = seeded_rng(tc.seed)
     params = init_params(pipeline, rng)
@@ -650,29 +642,17 @@ def train(
 
     def aggregated(which: int, ids) -> tuple[np.ndarray, dict]:
         """Aggregated matrices and prefix tapes of set ``which`` at ``ids``."""
-        if cache is not None:
-            return cache[which][ids], _NO_PREFIX
-        sigma = None if sigmas is None else sigmas[which][ids]
-        return _aggregate(sets[which].samples[ids], params, pipeline, sigma)
-
-    def bandwidth(which: int, ids) -> np.ndarray:
-        """Kernel bandwidths of set ``which`` at ``ids``, input checked."""
-        return compute_sigma(_features(sets[which].samples[ids], params, pipeline)[2])
+        if frozen is None or recording:
+            aggregate, prefix = _aggregate(sets[which].samples[ids], params, pipeline)
+            if recording:
+                frozen[which][ids] = aggregate if fits else prefix["kernel"].sigma
+            return aggregate, prefix
+        if fits:
+            return frozen[which][ids], _NO_PREFIX
+        return _aggregate(sets[which].samples[ids], params, pipeline, frozen[which][ids])
 
     def where(which: int) -> str:
         return f"epoch {global_epoch}, {names[which]}"
-
-    def per_sample(run) -> list[np.ndarray]:
-        """``run(which, ids)`` over every sample of every set, in slices."""
-        return [
-            np.concatenate(
-                [
-                    _located(lambda j: run(w, j), ids, len(ds), where(w))
-                    for ids in _slices(len(ds), steps[w])
-                ]
-            )
-            for w, ds in enumerate(sets)
-        ]
 
     for stage in (1, 2):
         base_lr = tc.lr_stage1 if stage == 1 else tc.lr_stage2
@@ -681,16 +661,17 @@ def train(
         bad_epochs = 0
         train_mix = params.mix is not None and stage == 2
         if train_mix:
-            cache = sigmas = None
+            frozen = None
 
         for _ in range(tc.epochs_per_stage):
             t0 = time.perf_counter()
             global_epoch += 1
-            if not train_mix and cache is None and sigmas is None:
-                if fits:
-                    cache = per_sample(lambda w, j: aggregated(w, j)[0])
-                elif pipeline.aggregator == "kernel":
-                    sigmas = per_sample(bandwidth)
+            recording = (
+                frozen is None and not train_mix and (fits or pipeline.aggregator == "kernel")
+            )
+            if recording:
+                shape = (pipeline.feature_channels,) * 2 if fits else ()
+                frozen = [np.empty((len(ds),) + shape) for ds in sets]
             lr = base_lr / decay_mult
             order = rng.permutation(n)
             losses: list[float] = []

@@ -17,6 +17,7 @@ from spd_agg import (
     vectorize,
     vectorize_backward,
 )
+from spd_agg.head import L2_FLOOR
 from _oracles import ADJOINT_RTOL, adjoint_gap, central_diff, random_symmetric, rel_err
 
 
@@ -149,6 +150,36 @@ class TestL2Normalize:
         stacked, stacked_tape = l2_normalize(stack)
         assert np.array_equal(stacked[1], out) and stacked_tape.norm[1] == np.inf
         assert np.array_equal(stacked[0], l2_normalize(stack[0])[0])
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 36, 136, 528, 2080])
+    @pytest.mark.parametrize("stack", [1, 5, 32])
+    def test_stack_matches_per_vector_norm_and_dot(self, k, stack):
+        # Forward and backward of a stack against each vector written out
+        # with np.linalg.norm and np.dot, bit for bit.  A stack of more
+        # than one holds a zero vector (a pass-through) and one of 1e200
+        # entries, whose v . v overflows.
+        rng = seeded_rng(k * 100 + stack)
+        v, g = rng.standard_normal((2, stack, k))
+        if stack > 1:
+            v[0] = 0.0
+            v[1] *= 1e200
+        out, tape = l2_normalize(v)
+        grad = l2_normalize_backward(tape, g)
+        for i in range(stack):
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(v[i])
+            if norm < L2_FLOOR:
+                unit, norm, want = v[i], 0.0, g[i]
+            else:
+                if np.isinf(norm):
+                    s = np.abs(v[i]).max()
+                    r = np.linalg.norm(v[i] / s)
+                    unit, norm = v[i] / s / r, s * r
+                else:
+                    unit = v[i] / norm
+                want = (g[i] - unit * np.dot(unit, g[i])) / norm
+            assert np.array_equal(out[i], unit) and tape.norm[i] == norm, i
+            assert np.array_equal(grad[i], want), i
 
     def test_gradient(self):
         rng = seeded_rng(6)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,26 @@ class TestKernelForward:
     def test_too_few_maps_rejected(self):
         with pytest.raises(ValueError, match="C >= 2"):
             kernel_forward(np.ones((1, 2, 3)))
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_bandwidth_rejected(self, sigma):
+        x = seeded_rng(11).standard_normal((5, 3, 2, 2))
+        good = compute_sigma(x)
+        with pytest.raises(ValueError, match=r"^bandwidth must be finite and positive, got "):
+            kernel_forward(x[0], sigma=sigma)
+        with pytest.raises(ValueError, match=r"^bandwidth must be finite and positive, got "):
+            kernel_forward(x, sigma=np.where(np.arange(5) == 3, sigma, good))
+
+    @pytest.mark.parametrize(
+        "stack, sigma_shape", [(None, (1,)), (5, ()), (5, (1,)), (5, (4,)), (5, (5, 1))]
+    )
+    def test_bandwidth_shape_must_match_stack(self, stack, sigma_shape):
+        # One bandwidth per sample: a scalar for one sample, (B,) for a
+        # stack of B; nothing is broadcast.
+        x = seeded_rng(12).standard_normal((3, 2, 2) if stack is None else (stack, 3, 2, 2))
+        message = f"bandwidth shape {sigma_shape} does not match the stack shape {x.shape[:-3]}"
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+            kernel_forward(x, sigma=np.ones(sigma_shape))
 
 
 class TestKernelBackward:

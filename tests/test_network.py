@@ -376,11 +376,15 @@ class TestTrain:
 
     @pytest.mark.parametrize("mixed", [0, 5])
     @pytest.mark.parametrize("held_out", [False, True])
-    def test_nan_sample_named_by_bandwidth_pass(self, monkeypatch, mixed, held_out):
+    def test_nan_sample_named_while_bandwidths_are_recorded(
+        self, monkeypatch, mixed, held_out
+    ):
         # Kernel at 2 x 2 maps: C*C = 36 or 25 > C0*N = 24, so epoch 1
-        # first computes every bandwidth.  That pass finds a NaN before
-        # any step, even in the training sample the epoch takes last, and
-        # names epoch, sample and layer.
+        # records every bandwidth from its own slices.  The slice that
+        # carries the NaN finds it, names epoch, sample and layer, and
+        # stops training there: the training sample the epoch takes last
+        # sits in its fourth and last minibatch (16 samples, batches of 4),
+        # after 3 steps; a held-out sample fails after all 4.
         pipe = PipelineConfig(in_channels=6, mixed_channels=mixed, transform_dim=3, num_classes=2)
         ds = tiny_dataset(seed=4, h=2, w=2)
         assert not network_mod._cache_fits(pipe, ds.samples)
@@ -407,7 +411,7 @@ class TestTrain:
                 train(ds, pipe, tc, test_dataset=bad)
             else:
                 train(bad, pipe, tc)
-        assert steps == []
+        assert len(steps) == (4 if held_out else 3)
 
     def test_nan_loss_aborts(self):
         # lr_stage1 = 1.7e308 with W frozen: after the first minibatch the
@@ -555,19 +559,35 @@ CACHED_PIPELINES = [
 ]
 
 
-def assert_cache_changes_no_bit(monkeypatch, pipe, shape, name, uncached):
-    """Train ``pipe`` on ``shape`` maps as it is, then with the module
-    attribute ``name`` replaced by ``uncached(original)``: the metrics
-    lines and every parameter block must be identical."""
+def assert_cache_changes_no_bit(monkeypatch, pipe, shape, count=16, slice_samples=None):
+    """Train ``pipe`` on the first ``count`` samples of ``shape`` maps (and
+    half as many held-out samples) as it is, then never caching: with
+    ``_cache_fits`` refusing every set and ``_aggregate`` ignoring a
+    recorded bandwidth.  The metrics lines and every parameter block must
+    be identical.  ``slice_samples`` sets slices of that many samples."""
     h, w = shape
     ds = tiny_dataset(seed=11, h=h, w=w)
     held_out = tiny_dataset(seed=12, per_class=4, h=h, w=w)
+    ds, held_out = (
+        FtsDataset(d.samples[:m], d.labels[:m], 2)
+        for d, m in ((ds, count), (held_out, (count + 1) // 2))
+    )
+    if slice_samples is not None:
+        c = pipe.feature_channels
+        widest = max(pipe.in_channels * h * w, c * h * w, c * c)
+        monkeypatch.setattr(network_mod, "SLICE_VALUES", slice_samples * widest)
+        assert network_mod._slice_size(pipe, h * w) == slice_samples
     # A stage-2 rate that moves the mixer, so a stale cache would show.
     tc = TrainConfig(epochs_per_stage=2, seed=3, batch_size=5, lr_stage2=0.05)
     runs = []
     for replace in (False, True):
         if replace:
-            monkeypatch.setattr(network_mod, name, uncached(getattr(network_mod, name)))
+            aggregate = network_mod._aggregate
+            monkeypatch.setattr(network_mod, "_cache_fits", lambda config, samples: False)
+            monkeypatch.setattr(
+                network_mod, "_aggregate",
+                lambda x, params, config, frozen_sigma=None: aggregate(x, params, config),
+            )
         params, history = train(ds, pipe, tc, test_dataset=held_out)
         runs.append(([r.to_json_line() for r in history], params.blocks()))
     (lines, cached), (plain_lines, plain) = runs
@@ -581,19 +601,24 @@ class TestAggregateCache:
     @pytest.mark.parametrize("pipe", CACHED_PIPELINES)
     def test_cache_changes_no_bit(self, monkeypatch, pipe):
         assert network_mod._cache_fits(pipe, tiny_dataset(seed=11).samples)
-        assert_cache_changes_no_bit(
-            monkeypatch, pipe, (3, 3), "_cache_fits", lambda fits: lambda config, samples: False
-        )
+        assert_cache_changes_no_bit(monkeypatch, pipe, (3, 3))
 
     # No mixer, then a mixer: at 2 x 2 maps C*C = 36 or 25 > C0*N = 24.
     @pytest.mark.parametrize("pipe", [CACHED_PIPELINES[2], CACHED_PIPELINES[0]])
     def test_bandwidth_cache_changes_no_bit(self, monkeypatch, pipe):
         assert not network_mod._cache_fits(pipe, tiny_dataset(seed=11, h=2, w=2).samples)
+        assert_cache_changes_no_bit(monkeypatch, pipe, (2, 2))
 
-        def ignoring_sigma(aggregate):
-            return lambda x, params, config, frozen_sigma=None: aggregate(x, params, config)
-
-        assert_cache_changes_no_bit(monkeypatch, pipe, (2, 2), "_aggregate", ignoring_sigma)
+    # Matrices (3 x 3 maps), then bandwidths (2 x 2), each recorded from
+    # slices of 2 samples: 13 training samples in batches of 5 give
+    # slices of 2, 2, 1, 2, 2, 1, 2, 1, and 7 held-out ones 2, 2, 2, 1.
+    @pytest.mark.parametrize("pipe", [CACHED_PIPELINES[2], CACHED_PIPELINES[0]])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2)])
+    def test_cache_recorded_from_short_slices_changes_no_bit(self, monkeypatch, pipe, shape):
+        assert network_mod._cache_fits(pipe, tiny_dataset(h=shape[0], w=shape[1]).samples) == (
+            shape == (3, 3)
+        )
+        assert_cache_changes_no_bit(monkeypatch, pipe, shape, count=13, slice_samples=2)
 
     @pytest.mark.parametrize(
         "pipe, shape, per_epoch",
@@ -634,7 +659,6 @@ class TestAggregateCache:
         spy(network_mod, "kernel_forward", aggregated)
         spy(network_mod, "covariance_forward", aggregated)
         # kernel_forward calls compute_sigma from its own module.
-        spy(network_mod, "compute_sigma", bandwidths)
         spy(kernel_mod, "compute_sigma", bandwidths)
         monkeypatch.setattr(network_mod, "MetricsRecord", record)
         h, w = shape
