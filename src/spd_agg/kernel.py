@@ -137,10 +137,11 @@ def kernel_backward(tape: KernelTape, grad_k: np.ndarray) -> np.ndarray:
 
         dL/df_i = sum_j (G_ij + G_ji) * K_ij * (f_j - f_i) / sigma^2.
 
-    The pairwise differences are formed explicitly before contraction, so
-    coincident maps yield exact zeros; a stack is contracted one sample
-    at a time, which bounds the C x C x N difference tensor to one
-    sample.  Returns dL/dM with the shape of ``tape.m``.
+    The terms are added over j in order from zeros, as
+    :func:`~spd_agg.linalg.matmul` adds over its inner index, each one
+    stacked over samples and maps i: a stack gives each sample its own
+    bits, and every temporary has the shape of ``tape.m``.  Coincident
+    maps yield exact zeros.  Returns dL/dM with the shape of ``tape.m``.
     """
     grad_k = np.asarray(grad_k, dtype=np.float64)
     if grad_k.shape != tape.k.shape:
@@ -149,11 +150,9 @@ def kernel_backward(tape: KernelTape, grad_k: np.ndarray) -> np.ndarray:
         )
     sq_sigma = np.asarray(tape.sigma * tape.sigma)[..., None, None]
     coeff = (grad_k + grad_k.swapaxes(-1, -2)) * tape.k / sq_sigma
-    out = np.empty_like(tape.m)
-    for i in np.ndindex(tape.m.shape[:-2]):
-        m = tape.m[i]
-        # diffs[i, j] = f_j - f_i
-        out[i] = np.einsum("ij,ijn->in", coeff[i], m[None, :, :] - m[:, None, :])
+    out = np.zeros_like(tape.m)
+    for j in range(tape.m.shape[-2]):
+        out += coeff[..., :, j : j + 1] * (tape.m[..., j : j + 1, :] - tape.m)
     return out
 
 

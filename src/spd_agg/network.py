@@ -233,15 +233,15 @@ class MixTape:
 
 @dataclass(frozen=True)
 class PipelineTapes:
-    """Forward caches of one sample, or of a stack along a leading axis.
-    The prefix fields ``x`` to ``kernel`` are None in a :func:`train` slice
-    that starts from cached aggregated matrices."""
+    """Forward caches of one sample, or of a stack along a leading axis;
+    a layer that did not run, or that :func:`backward` need not
+    differentiate (see there), leaves its fields None."""
 
     x: np.ndarray | None
     mix: MixTape | None
     agg_input: np.ndarray | None  # (C, H, W) maps entering aggregation
     kernel: KernelTape | None  # None for the covariance aggregator
-    transform: TransformTape  # .k is the (C, C) aggregated matrix
+    transform: TransformTape
     relu_mask: np.ndarray | None
     power_tape: np.ndarray | None
     l2_tape: L2Tape | None
@@ -380,9 +380,8 @@ def _aggregate(
     return aggregate, dict(x=x, mix=mix_tape, agg_input=feats, kernel=kernel_tape)
 
 
-#: Prefix tape fields of a training slice that starts from cached
-#: aggregated matrices; backward without the mixer and input gradients
-#: reads none of them.
+#: Prefix tape fields of a training slice whose backward differentiates
+#: nothing below the compression.
 _NO_PREFIX = dict(x=None, mix=None, agg_input=None, kernel=None)
 
 
@@ -455,49 +454,43 @@ def predict(x, params: Params, config: PipelineConfig) -> int | np.ndarray:
     return _classes(_aggregate(x, params, config)[0], params, config)
 
 
-def backward(
-    tapes: PipelineTapes,
-    config: PipelineConfig,
-    *,
-    mix: bool = True,
-    input: bool = True,
-) -> dict[str, np.ndarray]:
+def backward(tapes: PipelineTapes) -> dict[str, np.ndarray]:
     """Chain all layer adjoints back from the loss, for one sample or per
     sample of a stack.
 
-    Returns the gradient blocks under the names of :func:`param_shapes`,
-    in its order, then ``"input"``.  ``mix=False`` leaves out the mixer
-    blocks and ``input=False`` the input gradient; with neither wanted,
-    nothing below the compression is differentiated, and no prefix tape
-    is read.  ``"stiefel.w"`` is the raw Euclidean partial (what entrywise
-    finite differences measure); :func:`train` projects the minibatch sum
-    onto the tangent space once, as projection is linear.
+    The tapes say which layers ran (a None tape: it did not) and which
+    blocks to return, under the names of :func:`param_shapes`, in its
+    order, then ``"input"``: below the compression only with
+    ``agg_input``, the mixer blocks with ``mix`` as well, and ``"input"``
+    with ``x`` as well.  ``"stiefel.w"`` is the raw Euclidean partial
+    (what entrywise finite differences measure); :func:`train` projects
+    the minibatch sum onto the tangent space once, as projection is linear.
     """
     dv = tapes.dense_grads.v
-    if config.l2_norm:
+    if tapes.l2_tape is not None:
         dv = l2_normalize_backward(tapes.l2_tape, dv)
-    if config.power_norm:
+    if tapes.power_tape is not None:
         dv = power_normalize_backward(tapes.power_tape, dv)
-    grad_y = vectorize_backward(dv, config.transform_dim)
+    grad_y = vectorize_backward(dv, tapes.transform.w.cols)
     if tapes.relu_mask is not None:
         grad_y = grad_y * tapes.relu_mask
 
     grads = {}
-    if input or (mix and tapes.mix is not None):
+    if tapes.agg_input is not None:
         grad_agg = transform_backward_input(tapes.transform, grad_y)
-        if config.aggregator == "kernel":
+        if tapes.kernel is not None:
             grad_input = kernel_backward(tapes.kernel, grad_agg)
         else:
             grad_input = covariance_backward(tapes.agg_input, grad_agg)
         if tapes.mix is not None:
-            d_weights, d_bias, grad_input = mix_backward(tapes.mix, grad_input, input=input)
-            if mix:
-                grads["mix.weights"], grads["mix.bias"] = d_weights, d_bias
+            grads["mix.weights"], grads["mix.bias"], grad_input = mix_backward(
+                tapes.mix, grad_input, input=tapes.x is not None
+            )
 
     grads["stiefel.w"] = transform_backward_param(tapes.transform, grad_y)
     grads["dense.weights"] = tapes.dense_grads.weights
     grads["dense.bias"] = tapes.dense_grads.bias
-    if input:
+    if tapes.x is not None and tapes.agg_input is not None:
         grads["input"] = grad_input.reshape(tapes.x.shape)
     return grads
 
@@ -562,10 +555,13 @@ def _accuracy(classes, labels: np.ndarray, step: int, where: str) -> float:
 def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -> float:
     """Fraction of correct argmax predictions over (n, C, H, W) samples,
     predicted in slices of stacked samples, in dataset order.  A
-    non-finite value names the sample and the layer.  An empty set, a
+    non-finite value names the sample and the layer.  Samples that are
+    not 4-D are refused with ``ShapeMismatchError``; an empty set, a
     label count other than the sample count, or a label outside
-    ``[0, num_classes)`` is refused with ``ValueError``."""
+    ``[0, num_classes)`` with ``ValueError``."""
     samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 4:
+        raise ShapeMismatchError(f"samples must be (n, C, H, W), got shape {samples.shape}")
     labels = np.asarray(labels)
     if len(labels) != len(samples):
         raise ValueError(f"got {len(labels)} labels for {len(samples)} samples")
@@ -613,7 +609,8 @@ def train(
     float64 per sample).  Each epoch visits every sample once, so later
     epochs start every slice from the recorded matrices, or aggregate
     with the recorded bandwidths.  A stage that trains the mixer drops
-    the records.
+    the records, and is the only one whose :func:`backward` starts below
+    the compression; its slices keep the prefix tapes, without ``x``.
 
     Every slice, training and held-out, reports a non-finite value
     through :func:`_located`, naming the epoch, the sample and the
@@ -641,15 +638,16 @@ def train(
     global_epoch = 0
 
     def aggregated(which: int, ids) -> tuple[np.ndarray, dict]:
-        """Aggregated matrices and prefix tapes of set ``which`` at ``ids``."""
-        if frozen is None or recording:
-            aggregate, prefix = _aggregate(sets[which].samples[ids], params, pipeline)
-            if recording:
-                frozen[which][ids] = aggregate if fits else prefix["kernel"].sigma
-            return aggregate, prefix
-        if fits:
+        """Aggregated matrices of set ``which`` at ``ids``, and the prefix
+        tapes the stage's backward reads."""
+        cached = frozen is not None and not recording
+        if cached and fits:
             return frozen[which][ids], _NO_PREFIX
-        return _aggregate(sets[which].samples[ids], params, pipeline, frozen[which][ids])
+        sigma = frozen[which][ids] if cached else None
+        aggregate, prefix = _aggregate(sets[which].samples[ids], params, pipeline, sigma)
+        if recording:
+            frozen[which][ids] = aggregate if fits else prefix["kernel"].sigma
+        return aggregate, {**prefix, "x": None} if train_mix else _NO_PREFIX
 
     def where(which: int) -> str:
         return f"epoch {global_epoch}, {names[which]}"
@@ -692,7 +690,7 @@ def train(
                         n,
                         where(0),
                     )
-                    grads = backward(tapes, pipeline, mix=train_mix, input=False)
+                    grads = backward(tapes)
                     losses.extend(loss.tolist())
                     correct += int((pred == labels[ids]).sum())
                     total = {k: _ordered_sum(total.get(k), g) for k, g in grads.items()}
@@ -815,7 +813,7 @@ def grad_check(
 
     _, _, tapes = forward(x, label, params, pipeline)
     frozen = tapes.kernel.sigma if tapes.kernel is not None else None
-    analytic = backward(tapes, pipeline)
+    analytic = backward(tapes)
 
     def loss_with(p: Params, xs: np.ndarray) -> float:
         return forward(xs, label, p, pipeline, frozen_sigma=frozen)[0]

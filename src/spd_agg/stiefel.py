@@ -66,9 +66,9 @@ class StiefelPoint:
 @dataclass(frozen=True)
 class TransformTape:
     """Forward cache for one compression, or one per matrix of a stack:
-    input matrix, parameter snapshot and the product T = W^T K."""
+    the parameter snapshot and the product T = W^T K, all that either
+    backward reads."""
 
-    k: np.ndarray
     w: StiefelPoint
     t: np.ndarray
 
@@ -97,12 +97,12 @@ def transform_forward(k, w: StiefelPoint) -> tuple[np.ndarray, TransformTape]:
     if k.shape[-1] != w.rows:
         raise ShapeMismatchError(f"input dim {k.shape[-1]} does not match parameter rows {w.rows}")
     t = matmul(w.w.T, k)
-    return symmetrize(matmul(t, w.w)), TransformTape(k=k, w=w, t=t)
+    return symmetrize(matmul(t, w.w)), TransformTape(w=w, t=t)
 
 
 def _check_grad_y(tape: TransformTape, grad_y: np.ndarray) -> np.ndarray:
     grad_y = np.asarray(grad_y, dtype=np.float64)
-    want = tape.k.shape[:-2] + (tape.w.cols, tape.w.cols)
+    want = tape.t.shape[:-2] + (tape.w.cols, tape.w.cols)
     if grad_y.shape != want:
         raise ShapeMismatchError(
             f"upstream gradient shape {grad_y.shape} does not match output shape {want}"

@@ -178,6 +178,19 @@ class TestKernelBackward:
             analytic = kernel_backward(tape, g)
             assert rel_err(analytic, numeric) < 1e-6
 
+    @pytest.mark.parametrize("stack, c, n", [(32, 12, 36), (8, 64, 4), (3, 2, 2), (1, 64, 196)])
+    def test_stack_gives_each_sample_its_own_bits(self, stack, c, n):
+        rng = seeded_rng(c * n + stack)
+        x = rng.standard_normal((stack, c, 1, n))
+        g = rng.standard_normal((stack, c, c))
+        g = g + g.swapaxes(-1, -2)
+        _, tape = kernel_forward(x)
+        grad = kernel_backward(tape, g)
+        assert grad.shape == (stack, c, n)
+        for i in range(stack):
+            _, tape_i = kernel_forward(x[i])
+            assert kernel_backward(tape_i, g[i]).tobytes() == grad[i].tobytes(), i
+
     def test_shape_mismatch_rejected(self):
         rng = seeded_rng(10)
         _, tape = kernel_forward(rng.standard_normal((4, 2, 3)))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,7 +150,8 @@ class TestForward:
         x = seeded_rng(6).standard_normal((5, 4, 4))
         _, _, tapes = forward(x, 0, params, pipe)
         assert tapes.kernel is None
-        assert np.array_equal(tapes.transform.k, covariance_forward(tapes.agg_input))
+        aggregate, _ = network_mod._aggregate(x, params, pipe)
+        assert np.array_equal(aggregate, covariance_forward(tapes.agg_input))
 
     def test_bit_identical_across_runs(self):
         params = init_params(SMALL, seeded_rng(7))
@@ -167,8 +170,8 @@ class TestForward:
                 aggregator=agg,
             )
             params = init_params(pipe, seeded_rng(10))
-            _, _, tapes = forward(x, 0, params, pipe)
-            assert check(certify(tapes.transform.k))
+            aggregate, _ = network_mod._aggregate(x, params, pipe)
+            assert check(certify(aggregate))
 
     def test_spd_relu_path_runs(self):
         pipe = PipelineConfig(
@@ -198,7 +201,7 @@ class TestBackward:
         params.head.bias = np.array([800.0, 0.0, 0.0])
         x = seeded_rng(15).standard_normal((6, 3, 3))
         _, _, tapes = forward(x, 0, params, pipe)
-        grads = backward(tapes, pipe)
+        grads = backward(tapes)
         assert tuple(grads) == GRAD_BLOCKS
         for block in grads.values():
             assert not np.any(block)
@@ -231,8 +234,8 @@ class TestGradCheck:
     def test_corrupted_gradient_detected(self, monkeypatch):
         true_backward = network_mod.backward
 
-        def corrupted(tapes, config):
-            grads = true_backward(tapes, config)
+        def corrupted(tapes):
+            grads = true_backward(tapes)
             grads["stiefel.w"] = grads["stiefel.w"] * 1.01
             return grads
 
@@ -314,6 +317,38 @@ class TestTrain:
         calls = 0 if freeze else 16
         assert len(projected) == calls and len(stepped) == calls
         assert all(norm <= 1e-12 for norm in stepped), max(stepped)
+
+    @pytest.mark.parametrize("aggregator", ["kernel", "covariance"])
+    @pytest.mark.parametrize("side", [3, 2])
+    def test_backward_gets_only_the_tapes_it_reads(self, monkeypatch, aggregator, side):
+        # Matrices recorded (3 x 3 maps) or bandwidths (2 x 2, kernel
+        # only): stage 1, its recording epoch included, hands backward no
+        # prefix; stage 2 trains the mixer and hands it all but x.
+        pipe = PipelineConfig(
+            in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2,
+            aggregator=aggregator,
+        )
+        held = {"agg_input", "mix", "x"}
+        epochs = [[]]
+        true_backward, true_record = network_mod.backward, network_mod.MetricsRecord
+
+        def spy(tapes):
+            epochs[-1].append({name for name in held if getattr(tapes, name) is not None})
+            return true_backward(tapes)
+
+        def record(*args, **kwargs):
+            epochs.append([])
+            return true_record(*args, **kwargs)
+
+        monkeypatch.setattr(network_mod, "backward", spy)
+        monkeypatch.setattr(network_mod, "MetricsRecord", record)
+        ds = tiny_dataset(seed=4, h=side, w=side)
+        tc = TrainConfig(epochs_per_stage=2, seed=0, batch_size=5)
+        train(ds, pipe, tc, test_dataset=tiny_dataset(seed=5, h=side, w=side))
+        assert epochs[-1] == [] and all(epochs[:-1])
+        for stage, want in ((1, set()), (2, {"agg_input", "mix"})):
+            for got in epochs[2 * stage - 2 : 2 * stage]:
+                assert got == [want] * len(got), stage
 
     def test_bit_identical_replay(self):
         ds = tiny_dataset(seed=1)
@@ -694,6 +729,18 @@ class TestEvaluateAccuracy:
             evaluate_accuracy(samples, np.zeros(count, dtype=int), params, SMALL)
 
 
+    @pytest.mark.parametrize("shape", [(16, 6, 6), (6, 3, 3), (2, 1, 6, 3, 3)])
+    def test_samples_must_be_4d(self, shape):
+        # One (C, H, W) sample with as many labels as channels used to be
+        # read as one sample whose class was broadcast against every label.
+        pipe = PipelineConfig(in_channels=16, mixed_channels=12, transform_dim=8, num_classes=2)
+        params = init_params(pipe, seeded_rng(0))
+        samples = seeded_rng(1).standard_normal(shape)
+        message = f"^samples must be \\(n, C, H, W\\), got shape {re.escape(str(shape))}$"
+        with pytest.raises(ShapeMismatchError, match=message):
+            evaluate_accuracy(samples, np.zeros(shape[0], dtype=int), params, pipe)
+
+
 class TestConfigValidation:
     def test_transform_dim_capped_by_channels(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -760,7 +807,7 @@ class TestBatchedChain:
         single_losses, single_logits, single_total = [], [], {}
         for x, label in zip(xs, labels):
             loss, _, tapes = forward(x, int(label), params, pipe)
-            grads = backward(tapes, pipe)
+            grads = backward(tapes)
             single_losses.append(loss)
             single_logits.append(tapes.logits)
             for name, block in grads.items():
@@ -773,7 +820,7 @@ class TestBatchedChain:
         for start in range(0, 7, step):
             loss, _, tapes = forward(xs[start:start + step], labels[start:start + step],
                                      params, pipe)
-            grads = backward(tapes, pipe)
+            grads = backward(tapes)
             losses.extend(loss)
             logits.extend(tapes.logits)
             for name, block in grads.items():
@@ -786,14 +833,19 @@ class TestBatchedChain:
             assert np.array_equal(total[name], single_total[name]), name
 
     def test_skipped_blocks_leave_the_rest_unchanged(self):
+        # Tapes without x give no input gradient; tapes without the
+        # aggregation's give nothing below the compression, x or not.
         rng = seeded_rng(21)
         xs = rng.standard_normal((4, 6, 3, 3))
         params = init_params(SMALL, rng, random_head=True)
         _, _, tapes = forward(xs, np.array([0, 1, 2, 0]), params, SMALL)
-        full = backward(tapes, SMALL)
-        for mix in (True, False):
-            part = backward(tapes, SMALL, mix=mix, input=False)
-            kept = GRAD_BLOCKS[:-1] if mix else GRAD_BLOCKS[2:-1]
+        full = backward(tapes)
+        for stripped, kept in (
+            (dataclasses.replace(tapes, x=None), GRAD_BLOCKS[:-1]),
+            (dataclasses.replace(tapes, **network_mod._NO_PREFIX), GRAD_BLOCKS[2:-1]),
+            (dataclasses.replace(tapes, mix=None, agg_input=None, kernel=None), GRAD_BLOCKS[2:-1]),
+        ):
+            part = backward(stripped)
             assert tuple(part) == kept
             for name in kept:
                 assert np.array_equal(part[name], full[name]), name
