@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatchError, SingularMatrixError
+from .errors import NonFiniteError, ShapeMismatchError, SingularMatrixError
 
 __all__ = [
     "QrFactors",
@@ -48,12 +48,16 @@ def _as_2d(a, name: str) -> np.ndarray:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed, sequential summation order.
 
-    Accumulates one rank-1 update per inner index, which is bit-identical
-    to the naive ``s += a[i, k] * b[k, j]`` triple loop while keeping the
-    inner work vectorized.  Axes before the last two are stack axes that
-    broadcast as in ``np.matmul``; every matrix of a stack gets exactly
-    the per-element operations of the 2-D product, so a stacked product
-    equals the products of its matrices bit for bit.
+    Every entry has the bits of the naive ``s += a[i, k] * b[k, j]``
+    triple loop.  With two or more output columns this is ``np.einsum`` on
+    C-contiguous copies, which numpy iterates i, k, j with j innermost; on
+    other layouts, and for one column, einsum reduces k innermost in
+    pairs, so a one-column output adds one rank-1 update per inner index.
+    This assumes einsum's kernels do not fuse multiply-add; the bit tests
+    in ``tests/test_linalg.py`` fail on a numpy build whose kernels do.
+    Axes before the last two are stack axes that broadcast as in
+    ``np.matmul``; a stacked product equals the products of its matrices
+    bit for bit.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -62,6 +66,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, k), (k2, n) = a.shape[-2:], b.shape[-2:]
     if k != k2:
         raise ShapeMismatchError(f"inner dimensions differ: {m}x{k} times {k2}x{n}")
+    if n >= 2:
+        return np.einsum("...ik,...kj->...ij", np.ascontiguousarray(a), np.ascontiguousarray(b))
     out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
     for i in range(k):
         out += a[..., :, i : i + 1] * b[..., i : i + 1, :]
@@ -82,6 +88,8 @@ def qr_reduced(a: np.ndarray) -> QrFactors:
 
     Raises
     ------
+    NonFiniteError
+        If ``a`` holds a NaN or an infinity.
     SingularMatrixError
         If any |r_jj| <= QR_RANK_TOL * ||a||_F (numerical rank deficiency).
     """
@@ -89,6 +97,8 @@ def qr_reduced(a: np.ndarray) -> QrFactors:
     n, p = a.shape
     if n < p:
         raise ShapeMismatchError(f"qr_reduced needs rows >= cols, got {n}x{p}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError("qr input contains non-finite values")
     q, r = np.linalg.qr(a, mode="reduced")
     diag = np.diag(r)
     tol = QR_RANK_TOL * frobenius(a)

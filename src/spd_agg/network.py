@@ -707,8 +707,8 @@ def train(
                         try:
                             tangent = tangent_project(params.transform, grad * scale)
                             blocks[name] = retract_step(params.transform, tangent, lr).w
-                        except SingularMatrixError as e:
-                            raise SingularMatrixError(
+                        except (NonFiniteError, SingularMatrixError) as e:
+                            raise type(e)(
                                 f"retraction failed at epoch {global_epoch}, batch {batch_no}: {e}"
                             ) from e
                 params = Params.from_blocks(blocks)

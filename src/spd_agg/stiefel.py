@@ -10,6 +10,7 @@ factor of a reduced QR decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,12 +153,16 @@ def retract_step(w: StiefelPoint, manifold_grad: np.ndarray, lr: float) -> Stief
 
     Raises
     ------
+    ValueError
+        If ``lr`` is negative, NaN or infinite.
+    NonFiniteError
+        If the stepped matrix holds a NaN or an infinity.
     SingularMatrixError
         If the stepped matrix is numerically rank deficient; the step is
         rejected and the caller may shrink the learning rate.
     """
-    if lr < 0.0:
-        raise ValueError(f"learning rate must be non-negative, got {lr}")
+    if lr < 0.0 or not math.isfinite(lr):
+        raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
     g = np.asarray(manifold_grad, dtype=np.float64)
     if g.shape != w.w.shape:
         raise ShapeMismatchError(f"gradient shape {g.shape} does not match point shape {w.w.shape}")

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spd_agg
 from spd_agg import (
+    NonFiniteError,
     QrFactors,
     ShapeMismatchError,
     SingularMatrixError,
@@ -12,6 +19,77 @@ from spd_agg import (
     symmetrize,
 )
 from _oracles import matmul_triple_loop
+
+
+def _per_matrix_oracle(a, b):
+    """The triple loop applied to each matrix of a broadcast stack."""
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, stack + a.shape[-2:])
+    b = np.broadcast_to(b, stack + b.shape[-2:])
+    out = np.empty(stack + (a.shape[-2], b.shape[-1]))
+    for idx in np.ndindex(stack):
+        out[idx] = matmul_triple_loop(a[idx], b[idx])
+    return out
+
+
+def _same_bits(x, y):
+    """Equal shapes and equal bits, the sign of zero included; any NaN
+    matches any NaN."""
+    nan = np.isnan(x)
+    if x.shape != y.shape or not np.array_equal(nan, np.isnan(y)):
+        return False
+    bits = [np.where(nan, 0.0, z).view(np.int64) for z in (x, y)]
+    return np.array_equal(*bits)
+
+
+def _with_specials(x, rng):
+    """x with about one entry in six replaced by +0.0, -0.0, inf, -inf or NaN."""
+    x = x.copy(order="K")  # keeps a transposed view's layout
+    hit = rng.uniform(size=x.shape) < 1 / 6
+    x[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(hit.sum()))
+    return x
+
+
+def _layout_cases():
+    """One (a, b) case for every operand shape and layout the program
+    hands ``matmul``: transposed views, Fortran-order parameters, 2-D operands
+    broadcast against stacks, one-row and one-column outputs, k = 0 and
+    non-finite entries."""
+    rng = seeded_rng(41)
+    draw = rng.standard_normal
+    m_desk, m_c64, m_n196 = draw((3, 12, 36)), draw((2, 64, 4)), draw((1, 24, 196))
+    w = np.asfortranarray(draw((12, 8)))  # QR returns W in Fortran order
+    mixer = draw((12, 16))
+    g = draw((3, 8, 8))
+    t = draw((3, 8, 12))
+    cases = [
+        ("gram", m_desk, m_desk.swapaxes(-1, -2)),
+        ("gram_c64n4", m_c64, m_c64.swapaxes(-1, -2)),
+        ("gram_n196", m_n196, m_n196.swapaxes(-1, -2)),
+        ("cov_backward", draw((3, 12, 12)), m_desk),
+        ("mix_forward", mixer, draw((3, 16, 36))),
+        ("mix_backward_input", mixer.T, m_desk),
+        ("wt_times_stack", w.T, draw((3, 12, 12))),
+        ("stack_times_w", t, w),
+        ("w_times_stack_t", w, g.swapaxes(-1, -2)),
+        ("tsw_times_g", t.swapaxes(-1, -2), g),
+        ("wt_w", w.T, w),
+        ("w_times_g", w, g),
+        ("product_times_wt", draw((12, 8)), w.T),
+        ("fortran_both", np.asfortranarray(draw((9, 7))), np.asfortranarray(draw((7, 5)))),
+        ("synth_factor", draw((6, 6)), draw((6, 20))),
+        ("one_row", draw((1, 5)), draw((5, 7))),
+        ("one_row_stack", draw((3, 1, 36)), draw((36, 4))),
+        ("inner_zero", draw((3, 4, 0)), draw((3, 0, 5))),
+        ("inner_zero_one_column", draw((4, 0)), draw((0, 1))),
+    ]
+    for k in (1, 2, 3, 5, 528):
+        weights = draw((k, 6))  # the dense head's W^T dz: k classes
+        cases.append((f"one_column_k{k}", weights.T, draw((3, k, 1))))
+    specials = ("gram", "gram_c64n4", "cov_backward", "wt_times_stack", "one_column_k5")
+    for name, a, b in [c for c in cases if c[0] in specials]:
+        cases.append((f"{name}_specials", _with_specials(a, rng), _with_specials(b, rng)))
+    return [pytest.param(a, b, id=name) for name, a, b in cases]
 
 
 class TestMatmul:
@@ -65,6 +143,39 @@ class TestMatmul:
         out = matmul(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
         assert np.isfinite(out).all()
 
+    @pytest.mark.parametrize("a, b", _layout_cases())
+    def test_layouts_match_triple_loop_bitwise(self, a, b):
+        with np.errstate(invalid="ignore"):
+            got, want = matmul(a, b), _per_matrix_oracle(a, b)
+        assert _same_bits(got, want)
+
+    def test_bits_without_simd_dispatch(self):
+        """The layout check above, in a fresh process with every SIMD
+        target numpy dispatches to on this CPU disabled: the bits do not
+        depend on the dispatch."""
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy < 2
+            from numpy.core import _multiarray_umath as umath
+        disabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+        if not disabled:
+            pytest.skip("numpy dispatches to no SIMD target on this CPU")
+        src = str(Path(spd_agg.__file__).resolve().parents[1])
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": ",".join(disabled)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        target = f"{Path(__file__).resolve()}::TestMatmul::test_layouts_match_triple_loop_bitwise"
+        script = (
+            "import sys, pytest\n"
+            f"from {umath.__name__} import __cpu_features__ as have\n"
+            f"assert not any(have[f] for f in {disabled!r}), 'dispatch not disabled'\n"
+            f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {target!r}]))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], cwd=Path(__file__).resolve().parents[1],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+
 
 class TestSymmetrize:
     def test_symmetrizes_bitwise(self):
@@ -117,6 +228,15 @@ class TestQrReduced:
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
             qr_reduced(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_refused(self, value):
+        # LAPACK gives a clean identity-like Q for this NaN, and the
+        # rank check misreads an infinity as |r_jj|=inf <= inf.
+        a = np.eye(4, 2)
+        a[1, 1] = value
+        with pytest.raises(NonFiniteError, match="qr input contains non-finite"):
+            qr_reduced(a)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ShapeMismatchError):

@@ -551,6 +551,21 @@ class TestTrain:
         with pytest.raises(SingularMatrixError, match="epoch 2, batch 2: column 2"):
             network_mod.train(ds, pipe, TrainConfig(epochs_per_stage=2, seed=0, batch_size=4))
 
+    def test_non_finite_retraction_names_epoch_and_batch(self, monkeypatch):
+        ds = tiny_dataset(seed=5)
+        pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+        true_project = network_mod.tangent_project
+        calls = []
+
+        def overflowing(w, grad):
+            calls.append(1)
+            tangent = true_project(w, grad)
+            return np.full_like(tangent, np.inf) if len(calls) == 6 else tangent
+
+        monkeypatch.setattr(network_mod, "tangent_project", overflowing)
+        with pytest.raises(NonFiniteError, match="epoch 2, batch 2: qr input contains non-finite"):
+            network_mod.train(ds, pipe, TrainConfig(epochs_per_stage=2, seed=0, batch_size=4))
+
     def test_empty_dataset_rejected(self):
         pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
         with pytest.raises(ValueError, match="empty"):

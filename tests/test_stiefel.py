@@ -250,6 +250,13 @@ class TestRetractStep:
         with pytest.raises(SingularMatrixError):
             retract_step(w, w.w, 1.0)  # steps exactly to the zero matrix
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3], ids=["nan", "inf", "negative"])
+    def test_bad_learning_rate_refused(self, lr):
+        rng = seeded_rng(26)
+        w = stiefel_init(5, 2, rng)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            retract_step(w, tangent_project(w, rng.standard_normal((5, 2))), lr)
+
 
 class TestSpdRelu:
     def test_positive_matrix_unchanged(self):
