@@ -189,8 +189,10 @@ def test_criterion_07_covariance_as_inner_products():
                   f"max abs diff {worst:.2e} (tol 1e-12) over 50 inputs")
 
 
-#: Metrics file of the seed-7 criterion-08 run (the golden trajectory).
-GOLDEN_METRICS = Path(__file__).parent / "golden" / "criterion_08_seed7_metrics.jsonl"
+#: Committed bytes of the golden runs: ``<name>_metrics.jsonl`` and the
+#: final checkpoint ``<name>.ftsp`` per run.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SUFFIXES = ("_metrics.jsonl", ".ftsp")
 
 BENCH_CONFIG = {
     "in_channels": 16,
@@ -202,21 +204,71 @@ BENCH_CONFIG = {
     "seed": 7,
 }
 
+#: Per golden run: the ``synth_generate`` arguments, the training samples
+#: per class (the rest are held out) and the config.  Besides the
+#: criterion-08 run, each small run takes a path that one does not: the
+#: covariance with SPD-ReLU; no mixer with C > N, whose frozen stages
+#: record bandwidths; both normalizations off.
+GOLDEN_RUNS = {
+    "criterion_08_seed7": (
+        dict(num_classes=2, per_class=150, c0=16, h=6, w=6, seed=7), 100, BENCH_CONFIG
+    ),
+    "covariance_relu_mixer": (
+        dict(num_classes=2, per_class=30, c0=6, h=4, w=4, seed=1), 20,
+        {"in_channels": 6, "mixed_channels": 5, "transform_dim": 3, "aggregator": "covariance",
+         "use_spd_relu": True, "lr_stage2": 0.05, "epochs_per_stage": 4, "batch_size": 8,
+         "seed": 1},
+    ),
+    "kernel_c32_n4": (
+        dict(num_classes=2, per_class=30, c0=32, h=2, w=2, seed=1), 20,
+        {"in_channels": 32, "mixed_channels": 0, "transform_dim": 16, "lr_stage2": 0.05,
+         "epochs_per_stage": 4, "batch_size": 8, "seed": 1},
+    ),
+    "kernel_mixer_no_norms": (
+        dict(num_classes=2, per_class=30, c0=6, h=4, w=4, seed=1), 20,
+        {"in_channels": 6, "mixed_channels": 5, "transform_dim": 3, "power_norm": False,
+         "l2_norm": False, "lr_stage2": 0.05, "epochs_per_stage": 4, "batch_size": 8,
+         "seed": 1},
+    ),
+}
+
 
 @pytest.fixture(scope="module")
-def benchmark_files(tmp_path_factory):
+def golden_files(tmp_path_factory):
+    """Train, held-out and config files of every golden run, by name."""
+    root = tmp_path_factory.mktemp("golden")
+    files = {}
+    for name, (data, train_per_class, config) in GOLDEN_RUNS.items():
+        train_ds, test_ds = split_by_class(synth_generate(**data), train_per_class)
+        files[name] = tuple(root / f"{name}.{ext}" for ext in ("train.fts", "test.fts", "json"))
+        fts_write(train_ds, files[name][0])
+        fts_write(test_ds, files[name][1])
+        files[name][2].write_text(json.dumps(config))
+    return root, files
+
+
+@pytest.fixture(scope="module")
+def benchmark_files(golden_files):
     """Seed-7 synthetic benchmark: 200/100 split plus config files."""
-    root = tmp_path_factory.mktemp("bench")
-    ds = synth_generate(num_classes=2, per_class=150, c0=16, h=6, w=6, seed=7)
-    train_ds, test_ds = split_by_class(ds, 100)
-    train_path, test_path = root / "train.fts", root / "test.fts"
-    fts_write(train_ds, train_path)
-    fts_write(test_ds, test_path)
-    config = root / "config.json"
-    config.write_text(json.dumps(BENCH_CONFIG))
+    root, files = golden_files
+    train_path, test_path, config = files["criterion_08_seed7"]
     ablated = root / "ablated.json"
     ablated.write_text(json.dumps({**BENCH_CONFIG, "freeze_stiefel": True}))
     return root, train_path, test_path, config, ablated
+
+
+def _train_args(files, out) -> list[str]:
+    """``spd-agg train`` arguments for one run's files, writing the
+    golden file names with the prefix ``out``."""
+    train_path, test_path, config = files
+    return ["train", "--data", str(train_path), "--test", str(test_path),
+            "--config", str(config), "--out-metrics", f"{out}{GOLDEN_SUFFIXES[0]}",
+            "--out-ckpt", f"{out}{GOLDEN_SUFFIXES[1]}"]
+
+
+def _same_bytes(out_a, out_b) -> bool:
+    return all(Path(f"{out_a}{s}").read_bytes() == Path(f"{out_b}{s}").read_bytes()
+               for s in GOLDEN_SUFFIXES)
 
 
 def _run_train(files, config, metrics_name):
@@ -261,34 +313,39 @@ def test_criterion_08_synthetic_benchmark(benchmark_files, capsys):
                       f"{eval_acc:.3f}; frozen-random ablation {best_ablated:.3f} < {best_learned:.3f}")
 
 
-def test_criterion_09_training_determinism(benchmark_files, capsys):
-    a, _ = _run_train(benchmark_files, benchmark_files[3], "replay_a.jsonl")
-    b, _ = _run_train(benchmark_files, benchmark_files[3], "replay_b.jsonl")
-    replay = a.read_bytes() == b.read_bytes()
-    golden = a.read_bytes() == GOLDEN_METRICS.read_bytes()
+def test_criterion_09_training_determinism(golden_files, capsys):
+    root, files = golden_files
+    replay, golden = {}, {}
+    for name, paths in files.items():
+        a, b = root / f"{name}.replay_a", root / f"{name}.replay_b"
+        assert main(_train_args(paths, a)) == 0
+        assert main(_train_args(paths, b)) == 0
+        replay[name] = _same_bytes(a, b)
+        golden[name] = _same_bytes(a, GOLDEN / name)
     with capsys.disabled():
-        report(9, replay and golden,
-               f"two same-seed training runs wrote bit-identical metrics files ({replay}), "
-               f"byte-equal to {GOLDEN_METRICS.name} ({golden})")
+        report(9, all(replay.values()) and all(golden.values()),
+               f"two same-seed training runs of each golden config wrote bit-identical "
+               f"metrics and checkpoint files ({replay}), byte-equal to {GOLDEN.name}/ ({golden})")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_metrics_at_blas_thread_count(benchmark_files, threads):
-    """The seed-7 criterion-08 run, in a fresh process with OpenBLAS
-    limited to ``threads`` threads, writes the golden metrics bytes."""
-    root, train_path, test_path, config, _ = benchmark_files
-    metrics = root / f"threads{threads}.jsonl"
+def test_golden_metrics_at_blas_thread_count(golden_files, threads):
+    """Every golden run, in one fresh process with OpenBLAS limited to
+    ``threads`` threads, writes the golden bytes."""
+    root, files = golden_files
+    outs = {name: root / f"{name}.threads{threads}" for name in files}
     src = str(Path(spd_agg.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", "import sys; from spd_agg.cli import main; sys.exit(main())",
-         "train", "--data", str(train_path), "--test", str(test_path), "--config", str(config),
-         "--out-metrics", str(metrics), "--out-ckpt", str(root / f"threads{threads}.ftsp")],
+        [sys.executable, "-c",
+         "import json, sys; from spd_agg.cli import main; "
+         "sys.exit(max(main(args) for args in json.loads(sys.argv[1])))",
+         json.dumps([_train_args(files[name], out) for name, out in outs.items()])],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stderr
-    assert metrics.read_bytes() == GOLDEN_METRICS.read_bytes()
+    assert [name for name, out in outs.items() if not _same_bytes(out, GOLDEN / name)] == []
 
 
 def test_criterion_10_fts_robustness(tmp_path):
