@@ -13,7 +13,7 @@ Run:  python3 demos/01_kernel_vs_covariance.py
 
 import numpy as np
 
-from spd_agg import certify, compute_sigma, covariance_forward, kernel_forward, seeded_rng
+from spd_agg import certify, covariance_forward, kernel_forward, seeded_rng
 
 rng = seeded_rng(0)
 
@@ -42,5 +42,5 @@ print(f"  min entry {kernel.min():.4f}, max entry {kernel.max():.4f}, "
 # --- the bandwidth adapts to scale ------------------------------------------
 x_small = rng.standard_normal((6, 3, 3))
 for scale in (0.1, 1.0, 10.0):
-    print(f"  sigma at input scale {scale:>4}: {compute_sigma((x_small * scale).reshape(6, 9)):.4f}")
+    print(f"  sigma at input scale {scale:>4}: {kernel_forward(x_small * scale)[1].sigma:.4f}")
 print("(the kernel itself is scale-invariant: distances and bandwidth scale together)")

@@ -86,7 +86,10 @@ def _load_config(path) -> tuple[PipelineConfig, TrainConfig]:
     if path is None:
         return parse_config({})
     with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except RecursionError:
+            raise ValueError("config file nests too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("config file must hold one JSON object")
     return parse_config(raw)

@@ -60,27 +60,23 @@ def as_feature_matrix(x) -> np.ndarray:
     )
 
 
-def compute_sigma(m) -> float | np.ndarray:
-    """Mean Euclidean distance over all unordered pairs of feature maps;
-    one bandwidth per sample for a (B, C, H, W) stack.
-
-    Each map's distances to the later maps are taken as contiguous row
-    sums, and the distances are then accumulated in row-major pair order
-    by a sequential ``np.cumsum``, so the value is reproducible
-    bit-for-bit and does not depend on how many samples are stacked.
-    Returns the floor ``SIGMA_FLOOR`` for degenerate inputs where all
-    maps coincide.
+def compute_sigma(sq_dists) -> float | np.ndarray:
+    """Mean distance between the feature maps, one per sample of a stack,
+    from the clamped (..., C, C) squared distances of :func:`kernel_forward`.
+    The square roots of the upper triangle are added in row-major pair
+    order by a sequential ``np.cumsum`` over each sample's contiguous
+    vector, so the bits do not depend on the stack size.  All maps
+    coinciding give the floor ``SIGMA_FLOOR``.
     """
-    m = as_feature_matrix(m)
-    c = m.shape[-2]
+    shape = np.shape(sq_dists)
+    if len(shape) < 2 or shape[-1] != shape[-2]:
+        raise ShapeMismatchError(f"expected (..., C, C) squared distances, got shape {shape}")
+    c = shape[-1]
     if c < 2:
         raise ValueError(f"bandwidth needs at least two feature maps, got {c}")
-    rows = []
-    for i in range(c - 1):
-        diffs = m[..., i + 1 :, :] - m[..., i : i + 1, :]
-        rows.append(np.sqrt((diffs * diffs).sum(axis=-1)))
-    dists = np.concatenate(rows, axis=-1)
-    mean = np.cumsum(dists, axis=-1)[..., -1] / dists.shape[-1]
+    rows, cols = np.triu_indices(c, k=1)
+    pairs = np.take(np.reshape(sq_dists, shape[:-2] + (c * c,)), rows * c + cols, axis=-1)
+    mean = np.cumsum(np.sqrt(pairs), axis=-1)[..., -1] / len(rows)
     return np.maximum(mean, SIGMA_FLOOR)
 
 
@@ -100,11 +96,10 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
     x : (C, H, W) or (C, N) array with C >= 2, N >= 2, finite entries, or
         a (B, C, H, W) stack of samples, which gives a stack of B kernel
         matrices with one bandwidth each.
-    sigma : optional bandwidth override: finite and positive, a scalar
-        for one sample and one per sample, shape (B,), for a stack.
-        Finite-difference harnesses pass the tape value of a reference
-        forward so the bandwidth stays frozen while inputs are perturbed;
-        by default it is recomputed.
+    sigma : optional bandwidth override, finite and positive: a scalar for
+        one sample, shape (B,) for a stack.  By default :func:`compute_sigma`
+        takes it from K's squared distances; finite-difference harnesses
+        pass a reference forward's, so it stays frozen while inputs move.
     """
     m = as_feature_matrix(x)
     c, n = m.shape[-2:]
@@ -112,19 +107,19 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
         raise ValueError(f"kernel aggregation needs C >= 2 and N >= 2, got C={c}, N={n}")
     if not np.isfinite(m).all():
         raise NonFiniteError("kernel aggregation input contains non-finite values")
+    gram = matmul(m, m.swapaxes(-1, -2))
+    sq_norms = np.diagonal(gram, axis1=-2, axis2=-1)
+    # Rounding can push squared distances a hair below zero; clamp so the
+    # kernel never exceeds 1.
+    sq_dists = np.maximum(sq_norms[..., :, None] + sq_norms[..., None, :] - 2.0 * gram, 0.0)
     if sigma is None:
-        sigma = compute_sigma(x)
+        sigma = compute_sigma(sq_dists)
     elif np.shape(sigma) != m.shape[:-2]:
         raise ShapeMismatchError(
             f"bandwidth shape {np.shape(sigma)} does not match the stack shape {m.shape[:-2]}"
         )
     elif not (np.isfinite(sigma) & (np.asarray(sigma) > 0.0)).all():
         raise ValueError(f"bandwidth must be finite and positive, got {sigma}")
-    gram = matmul(m, m.swapaxes(-1, -2))
-    sq_norms = np.diagonal(gram, axis1=-2, axis2=-1)
-    # Rounding can push squared distances a hair below zero; clamp so the
-    # kernel never exceeds 1.
-    sq_dists = np.maximum(sq_norms[..., :, None] + sq_norms[..., None, :] - 2.0 * gram, 0.0)
     scale = np.asarray(2.0 * sigma * sigma)[..., None, None]
     k = np.exp(-sq_dists / scale)
     return k, KernelTape(m=m, k=k, sigma=sigma)

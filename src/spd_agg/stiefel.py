@@ -168,7 +168,9 @@ def retract_step(w: StiefelPoint, manifold_grad: np.ndarray, lr: float) -> Stief
         raise ShapeMismatchError(f"gradient shape {g.shape} does not match point shape {w.w.shape}")
     if lr == 0.0 or not g.any():
         return w
-    return StiefelPoint(qr_reduced(w.w - lr * g).q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepped = w.w - lr * g
+    return StiefelPoint(qr_reduced(stepped).q)
 
 
 def spd_relu(y) -> np.ndarray:

@@ -271,32 +271,27 @@ def _same_bytes(out_a, out_b) -> bool:
                for s in GOLDEN_SUFFIXES)
 
 
-def _run_train(files, config, metrics_name):
+def _run_train(files, config, name):
+    """Train on the benchmark files with ``config``; the metrics records."""
     root, train_path, test_path, _, _ = files
-    metrics = root / metrics_name
-    code = main(
-        ["train", "--data", str(train_path), "--test", str(test_path),
-         "--config", str(config), "--out-metrics", str(metrics),
-         "--out-ckpt", str(root / (metrics_name + ".ftsp"))]
-    )
-    assert code == 0
-    records = [json.loads(line) for line in metrics.read_text().splitlines()]
-    return metrics, records
+    assert main(_train_args((train_path, test_path, config), root / name)) == 0
+    metrics = root / f"{name}{GOLDEN_SUFFIXES[0]}"
+    return [json.loads(line) for line in metrics.read_text().splitlines()]
 
 
 def test_criterion_08_synthetic_benchmark(benchmark_files, capsys):
     t0 = time.perf_counter()
-    _, learned = _run_train(benchmark_files, benchmark_files[3], "learned.jsonl")
+    learned = _run_train(benchmark_files, benchmark_files[3], "learned")
     elapsed = time.perf_counter() - t0
     best_learned = max(r["test_accuracy"] for r in learned)
-    _, ablated = _run_train(benchmark_files, benchmark_files[4], "ablated.jsonl")
+    ablated = _run_train(benchmark_files, benchmark_files[4], "ablated")
     best_ablated = max(r["test_accuracy"] for r in ablated)
 
     # the written checkpoint must evaluate just as well through the CLI
     root, _, test_path, _, _ = benchmark_files
     capsys.readouterr()
     code = main(["eval", "--data", str(test_path),
-                 "--ckpt", str(root / "learned.jsonl.ftsp")])
+                 "--ckpt", str(root / "learned.ftsp")])
     eval_acc = json.loads(capsys.readouterr().out)["accuracy"]
 
     ok = (

@@ -423,6 +423,14 @@ class TestModuleEntry:
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr == "error: --trials must be >= 1, got 0\n"
 
+    def test_too_deeply_nested_config_exits_1(self, small_run, tmp_path):
+        data, _ = small_run
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        done = self.run_module("train", "--data", str(data), "--config", str(deep))
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == "error: config file nests too deeply\n"
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self):

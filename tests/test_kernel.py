@@ -16,6 +16,7 @@ from spd_agg import (
     kernel_forward,
     seeded_rng,
 )
+from spd_agg.kernel import SIGMA_FLOOR
 from _oracles import (
     ADJOINT_RTOL,
     adjoint_gap,
@@ -30,29 +31,52 @@ from _oracles import (
 
 class TestComputeSigma:
     def test_single_pair_hand_distance(self):
-        m = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert compute_sigma(m) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        # maps (0, 0) and (1, 1)
+        sq = np.array([[0.0, 2.0], [2.0, 0.0]])
+        assert compute_sigma(sq) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_identical_rows_hits_floor(self):
-        assert compute_sigma(np.ones((4, 3))) == 1e-12
+        assert compute_sigma(np.zeros((4, 4))) == SIGMA_FLOOR
 
-    def test_matches_double_loop_oracle_exactly(self):
+    def test_coincident_maps_give_exactly_the_floor(self):
+        # Equal rows give bit-equal g_ii, g_jj and g_ij, so exact zeros.
+        row = seeded_rng(0).standard_normal((1, 1, 36))
+        assert kernel_forward(np.repeat(row, 12, axis=0))[1].sigma == SIGMA_FLOOR
+        stack = np.repeat(row[None] * np.array([1.0, 3.0])[:, None, None, None], 12, axis=1)
+        assert kernel_forward(stack)[1].sigma.tolist() == [SIGMA_FLOOR, SIGMA_FLOOR]
+
+    def test_matches_double_loop_oracle_to_ulps(self):
+        # The three benchmark workloads' shapes, raw and ReLU-clipped: the
+        # Gram identity rounds differently from explicit differences.
         rng = seeded_rng(0)
-        m = rng.standard_normal((5, 7))
-        assert compute_sigma(m) == sigma_double_loop(m)
+        for shape in [(32, 12, 6, 6), (8, 64, 2, 2), (1, 64, 14, 14)]:
+            raw = rng.standard_normal(shape)
+            for x in (raw, np.maximum(raw, 0.0)):
+                sigma = kernel_forward(x)[1].sigma
+                ref = np.array([sigma_double_loop(s.reshape(shape[1], -1)) for s in x])
+                assert (np.abs(sigma - ref) <= 8 * np.finfo(float).eps * ref).all(), shape
 
     # N = 4, 36 and 196: below, inside and above numpy's pairwise-sum
     # block sizes.
     @pytest.mark.parametrize("side", [2, 6, 14])
     def test_stack_gives_each_sample_its_own_bits(self, side):
         x = seeded_rng(3).standard_normal((5, 12, side, side))
-        stacked = compute_sigma(x)
+        stacked = kernel_forward(x)[1].sigma
         assert stacked.shape == (5,)
-        assert stacked.tolist() == [float(compute_sigma(sample)) for sample in x]
+        assert stacked.tolist() == [float(kernel_forward(sample)[1].sigma) for sample in x]
+        f = x.reshape(5, 12, -1)
+        sq = ((f[:, :, None, :] - f[:, None, :, :]) ** 2).sum(axis=-1)
+        assert compute_sigma(sq).tolist() == [float(compute_sigma(s)) for s in sq]
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError, match="two feature maps"):
-            compute_sigma(np.ones((1, 5)))
+            compute_sigma(np.zeros((1, 1)))
+
+    # (6, 9) is a C x N map matrix, not squared distances.
+    @pytest.mark.parametrize("shape", [(), (3,), (6, 9), (4, 2, 3)])
+    def test_non_square_input_rejected(self, shape):
+        with pytest.raises(ShapeMismatchError, match=r"^expected \(\.\.\., C, C\) squared"):
+            compute_sigma(np.zeros(shape))
 
 
 class TestKernelForward:
@@ -121,7 +145,7 @@ class TestKernelForward:
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_bad_bandwidth_rejected(self, sigma):
         x = seeded_rng(11).standard_normal((5, 3, 2, 2))
-        good = compute_sigma(x)
+        good = kernel_forward(x)[1].sigma
         with pytest.raises(ValueError, match=r"^bandwidth must be finite and positive, got "):
             kernel_forward(x[0], sigma=sigma)
         with pytest.raises(ValueError, match=r"^bandwidth must be finite and positive, got "):
@@ -255,8 +279,8 @@ class TestAggregationAdjoints:
     @given(case=_maps_case())
     def test_kernel(self, case):
         m, dm, g = case
-        sigma = compute_sigma(m)
-        k, tape = kernel_forward(m, sigma=sigma)
+        k, tape = kernel_forward(m)
+        sigma = tape.sigma
         f, x = (a.reshape(a.shape[:2] + (-1,)) for a in (m, dm))
         # dK_ij = -K_ij (f_i - f_j).(x_i - x_j) / sigma^2
         df = f[:, :, None, :] - f[:, None, :, :]

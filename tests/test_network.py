@@ -692,11 +692,11 @@ class TestAggregateCache:
         aggregated, bandwidths = [0], [0]
         true_record = network_mod.MetricsRecord
 
-        def spy(module, name, counts):
+        def spy(module, name, counts, sample_ndim=3):
             fn = getattr(module, name)
 
             def counted(x, *args, **kwargs):
-                counts[-1] += 1 if np.ndim(x) == 3 else len(x)
+                counts[-1] += int(np.prod(np.shape(x)[:-sample_ndim]))
                 return fn(x, *args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -708,8 +708,9 @@ class TestAggregateCache:
 
         spy(network_mod, "kernel_forward", aggregated)
         spy(network_mod, "covariance_forward", aggregated)
-        # kernel_forward calls compute_sigma from its own module.
-        spy(kernel_mod, "compute_sigma", bandwidths)
+        # kernel_forward calls compute_sigma from its own module, on a
+        # (..., C, C) stack of squared distances.
+        spy(kernel_mod, "compute_sigma", bandwidths, sample_ndim=2)
         monkeypatch.setattr(network_mod, "MetricsRecord", record)
         h, w = shape
         ds = tiny_dataset(seed=13, h=h, w=w)

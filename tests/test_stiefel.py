@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spd_agg import (
+    NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
     StiefelPoint,
@@ -256,6 +259,16 @@ class TestRetractStep:
         w = stiefel_init(5, 2, rng)
         with pytest.raises(ValueError, match="finite and non-negative"):
             retract_step(w, tangent_project(w, rng.standard_normal((5, 2))), lr)
+
+    def test_overflowing_step_refused_without_a_warning(self):
+        # The spd-agg train stderr holds the error line alone.
+        rng = seeded_rng(27)
+        w = stiefel_init(5, 2, rng)
+        g = tangent_project(w, rng.standard_normal((5, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                retract_step(w, 1e10 * g, 1e300)
 
 
 class TestSpdRelu:
