@@ -15,6 +15,7 @@ input and treated as a constant during backpropagation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +61,24 @@ def as_feature_matrix(x) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(c: int) -> np.ndarray:
+    """Flat row-major indices of the strict upper triangle of a c x c
+    matrix, read-only as every caller shares them."""
+    rows, cols = np.triu_indices(c, k=1)
+    index = rows * c + cols
+    index.flags.writeable = False
+    return index
+
+
 def compute_sigma(sq_dists) -> float | np.ndarray:
     """Mean distance between the feature maps, one per sample of a stack,
     from the clamped (..., C, C) squared distances of :func:`kernel_forward`.
     The square roots of the upper triangle are added in row-major pair
     order by a sequential ``np.cumsum`` over each sample's contiguous
     vector, so the bits do not depend on the stack size.  All maps
-    coinciding give the floor ``SIGMA_FLOOR``.
+    coinciding give the floor ``SIGMA_FLOOR``; a negative squared distance
+    is refused with ``ValueError`` naming the first sample that has one.
     """
     shape = np.shape(sq_dists)
     if len(shape) < 2 or shape[-1] != shape[-2]:
@@ -74,9 +86,16 @@ def compute_sigma(sq_dists) -> float | np.ndarray:
     c = shape[-1]
     if c < 2:
         raise ValueError(f"bandwidth needs at least two feature maps, got {c}")
-    rows, cols = np.triu_indices(c, k=1)
-    pairs = np.take(np.reshape(sq_dists, shape[:-2] + (c * c,)), rows * c + cols, axis=-1)
-    mean = np.cumsum(np.sqrt(pairs), axis=-1)[..., -1] / len(rows)
+    index = _pairs(c)
+    pairs = np.take(np.reshape(sq_dists, shape[:-2] + (c * c,)), index, axis=-1)
+    negative = (pairs < 0.0).any(axis=-1)
+    if negative.any():
+        first = np.argwhere(negative)[0]
+        sample = f" of sample {', '.join(map(str, first))}" if first.size else ""
+        raise ValueError(
+            f"squared distances{sample} must be >= 0, got {pairs[tuple(first)].min()}"
+        )
+    mean = np.cumsum(np.sqrt(pairs), axis=-1)[..., -1] / len(index)
     return np.maximum(mean, SIGMA_FLOOR)
 
 

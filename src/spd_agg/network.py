@@ -12,18 +12,24 @@ Training follows plain SGD in two stages: stage 1 freezes the channel
 mixer and trains the new layers, stage 2 fine-tunes everything.  The
 compression parameters are updated by projecting the minibatch gradient
 onto the tangent space and retracting by QR; everything else by vanilla
-``theta -= lr * grad``.  The loop is single-threaded and consumes
-randomness only from one seeded generator, so one (seed, config,
-dataset) triple yields one bit-exact run.
+``theta -= lr * grad``.  The loop consumes randomness only from one
+seeded generator, so one (seed, config, dataset) triple yields one
+bit-exact run.
 Training and evaluation run the chain on slices of stacked samples (see
 :data:`SLICE_VALUES`); a slice gives each sample exactly the bits it gets
-on its own.
+on its own.  The slices of one minibatch, or of one held-out evaluation,
+run on up to :data:`WORKERS` threads (:class:`_Workers`), and the calling
+thread reduces their results in sample order, so the worker count
+changes no bit either.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -97,6 +103,13 @@ DECAY_FACTOR = 10.0
 #: (C x N) or the aggregated matrix (C x C).  Larger slices stop paying
 #: once a layer's stack leaves the cache, and they raise peak memory.
 SLICE_VALUES = 32_768
+
+#: Threads that :class:`_Workers` runs slices on: one per CPU of the
+#: process's affinity mask, or of the machine where there is no such mask.
+if hasattr(os, "sched_getaffinity"):
+    WORKERS = len(os.sched_getaffinity(0))
+else:
+    WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -514,12 +527,84 @@ def _slices(n: int, step: int):
     return (slice(start, start + step) for start in range(0, n, step))
 
 
+class _Workers:
+    """Maps a function over independent items on up to :data:`WORKERS`
+    threads, for the life of a ``with`` block.
+
+    The calling thread and the pool threads take the items in order, each
+    the next one not yet taken, so a thread that starts late or shares its
+    CPU with another process takes fewer items and delays none.  A pool
+    thread runs each item in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds there too.  numpy releases the
+    interpreter lock in its products and large elementwise loops, which is
+    where the threads overlap.  A map uses at most one thread per two
+    items: with one item per thread, a thread that wakes late costs as
+    much as the second thread gains, as the two slices of a criterion-08
+    evaluation showed.  So a map of fewer than four items runs on the
+    caller alone, and a block without a larger one neither starts a
+    thread nor imports ``concurrent.futures``.  The pool stops when the
+    block exits.
+    """
+
+    def __init__(self):
+        self._pool = None
+
+    def __enter__(self) -> _Workers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def map(self, fn, items: list) -> list:
+        """``[fn(item) for item in items]``.  Once an item raises, no thread
+        takes another; after every thread has stopped, the error of the
+        first item in order to raise is raised here."""
+        threads = min(WORKERS, len(items) // 2)
+        if threads < 2:
+            return [fn(item) for item in items]
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(WORKERS - 1)
+        results: list = [None] * len(items)
+        errors: dict[int, BaseException] = {}
+        order = iter(range(len(items)))
+        lock = threading.Lock()
+
+        def drain(run) -> None:
+            while not errors:
+                with lock:
+                    i = next(order, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = run(items[i])
+                except BaseException as e:
+                    errors[i] = e
+
+        context = contextvars.copy_context()
+        pool_runs = [
+            self._pool.submit(drain, lambda item: context.copy().run(fn, item))
+            for _ in range(threads - 1)
+        ]
+        drain(fn)
+        for run in pool_runs:
+            run.result()
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+
 def _located(run, ids, n: int, where: str):
     """``run(ids)`` for a slice or index array ``ids`` into a set of ``n``
     samples.  On a non-finite value, each sample of ``ids`` runs again on
     its own, as a one-sample stack through the same ``run``, and the error
     is raised as ``non-finite value at <where> i: <layer>`` for the first
-    sample ``i`` that fails."""
+    sample ``i`` that fails.  It runs in the thread that runs the slice;
+    :meth:`_Workers.map` raises the error of the earliest slice that
+    fails, so the sample named is the first of the set that fails on its
+    own."""
     try:
         return run(ids)
     except NonFiniteError:
@@ -541,24 +626,25 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         )
 
 
-def _accuracy(classes, labels: np.ndarray, step: int, where: str) -> float:
+def _accuracy(classes, labels: np.ndarray, step: int, where: str, workers: _Workers) -> float:
     """Fraction of ``labels`` matched by ``classes(ids)``, taken over
-    slices of ``step`` samples in dataset order; a non-finite value is
-    located by :func:`_located`."""
+    slices of ``step`` samples run by ``workers`` and counted in dataset
+    order; a non-finite value is located by :func:`_located`."""
     n = len(labels)
-    correct = sum(
-        int((_located(classes, ids, n, where) == labels[ids]).sum()) for ids in _slices(n, step)
-    )
-    return correct / n
+    slices = list(_slices(n, step))
+    found = workers.map(lambda ids: _located(classes, ids, n, where), slices)
+    return sum(int((pred == labels[ids]).sum()) for ids, pred in zip(slices, found)) / n
 
 
 def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -> float:
     """Fraction of correct argmax predictions over (n, C, H, W) samples,
-    predicted in slices of stacked samples, in dataset order.  A
-    non-finite value names the sample and the layer.  Samples that are
-    not 4-D are refused with ``ShapeMismatchError``; an empty set, a
-    label count other than the sample count, or a label outside
-    ``[0, num_classes)`` with ``ValueError``."""
+    predicted in slices of stacked samples on up to :data:`WORKERS`
+    threads and counted in dataset order.  A non-finite value names the
+    first sample, in dataset order, that fails on its own, and the
+    layer.  Samples that are not 4-D are refused with
+    ``ShapeMismatchError``; an empty set, a label count other than the
+    sample count, or a label outside ``[0, num_classes)`` with
+    ``ValueError``."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 4:
         raise ShapeMismatchError(f"samples must be (n, C, H, W), got shape {samples.shape}")
@@ -567,9 +653,10 @@ def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -
         raise ValueError(f"got {len(labels)} labels for {len(samples)} samples")
     _check_labels(labels, config.num_classes)
     step = _slice_size(config, samples.shape[-2] * samples.shape[-1])
-    return _accuracy(
-        lambda ids: predict(samples[ids], params, config), labels, step, "sample"
-    )
+    with _Workers() as workers:
+        return _accuracy(
+            lambda ids: predict(samples[ids], params, config), labels, step, "sample", workers
+        )
 
 
 def _ordered_sum(total: np.ndarray | None, stack: np.ndarray) -> np.ndarray:
@@ -612,9 +699,15 @@ def train(
     the records, and is the only one whose :func:`backward` starts below
     the compression; its slices keep the prefix tapes, without ``x``.
 
+    The slices of one minibatch, and of one held-out evaluation, run on
+    up to :data:`WORKERS` threads (:class:`_Workers`).  The calling thread
+    takes their losses, correct counts and gradient sums in sample order,
+    so the worker count changes no bit.
+
     Every slice, training and held-out, reports a non-finite value
     through :func:`_located`, naming the epoch, the sample and the
-    layer; a non-finite epoch mean loss names the epoch.
+    layer; where two slices fail, the earlier one's sample is named.  A
+    non-finite epoch mean loss names the epoch.
     """
     sets = [dataset] if test_dataset is None else [dataset, test_dataset]
     for ds in sets:
@@ -652,102 +745,106 @@ def train(
     def where(which: int) -> str:
         return f"epoch {global_epoch}, {names[which]}"
 
-    for stage in (1, 2):
-        base_lr = tc.lr_stage1 if stage == 1 else tc.lr_stage2
-        decay_mult = 1.0
-        best_loss = math.inf
-        bad_epochs = 0
-        train_mix = params.mix is not None and stage == 2
-        if train_mix:
-            frozen = None
+    def train_slice(ids) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """Losses, argmax classes and gradient blocks of training samples
+        ``ids``."""
+        loss, pred, tapes = _located(
+            lambda j: _loss(*aggregated(0, j), labels[j], params, pipeline), ids, n, where(0)
+        )
+        return loss, pred, backward(tapes)
 
-        for _ in range(tc.epochs_per_stage):
-            t0 = time.perf_counter()
-            global_epoch += 1
-            recording = (
-                frozen is None and not train_mix and (fits or pipeline.aggregator == "kernel")
-            )
-            if recording:
-                shape = (pipeline.feature_channels,) * 2 if fits else ()
-                frozen = [np.empty((len(ds),) + shape) for ds in sets]
-            lr = base_lr / decay_mult
-            order = rng.permutation(n)
-            losses: list[float] = []
-            correct = 0
-            max_orth = params.transform.orthogonality_error()
+    with _Workers() as workers:
+        for stage in (1, 2):
+            base_lr = tc.lr_stage1 if stage == 1 else tc.lr_stage2
+            decay_mult = 1.0
+            best_loss = math.inf
+            bad_epochs = 0
+            train_mix = params.mix is not None and stage == 2
+            if train_mix:
+                frozen = None
 
-            for batch_no, start in enumerate(range(0, n, tc.batch_size), 1):
-                batch = order[start : start + tc.batch_size]
-                # Parameters are fixed within a minibatch, so it runs in
-                # slices of stacked samples; its blocks are summed in
-                # sample order.
-                total: dict[str, np.ndarray] = {}
-                for s in range(0, len(batch), step):
-                    ids = batch[s : s + step]
-                    loss, pred, tapes = _located(
-                        lambda j: _loss(*aggregated(0, j), labels[j], params, pipeline),
-                        ids,
-                        n,
-                        where(0),
-                    )
-                    grads = backward(tapes)
-                    losses.extend(loss.tolist())
-                    correct += int((pred == labels[ids]).sum())
-                    total = {k: _ordered_sum(total.get(k), g) for k, g in grads.items()}
-                scale = 1.0 / len(batch)
+            for _ in range(tc.epochs_per_stage):
+                t0 = time.perf_counter()
+                global_epoch += 1
+                recording = (
+                    frozen is None and not train_mix and (fits or pipeline.aggregator == "kernel")
+                )
+                if recording:
+                    shape = (pipeline.feature_channels,) * 2 if fits else ()
+                    frozen = [np.empty((len(ds),) + shape) for ds in sets]
+                lr = base_lr / decay_mult
+                order = rng.permutation(n)
+                losses: list[float] = []
+                correct = 0
+                max_orth = params.transform.orthogonality_error()
 
-                # W takes the manifold step, every other block the
-                # Euclidean one.
-                blocks = params.blocks()
-                for name, grad in total.items():
-                    if name != "stiefel.w":
-                        if lr != 0.0:
-                            blocks[name] = blocks[name] - lr * (grad * scale)
-                    elif not tc.freeze_stiefel:
-                        try:
-                            tangent = tangent_project(params.transform, grad * scale)
-                            blocks[name] = retract_step(params.transform, tangent, lr).w
-                        except (NonFiniteError, SingularMatrixError) as e:
-                            raise type(e)(
-                                f"retraction failed at epoch {global_epoch}, batch {batch_no}: {e}"
-                            ) from e
-                params = Params.from_blocks(blocks)
-                max_orth = max(max_orth, params.transform.orthogonality_error())
+                for batch_no, start in enumerate(range(0, n, tc.batch_size), 1):
+                    batch = order[start : start + tc.batch_size]
+                    # Parameters are fixed within a minibatch, so its slices
+                    # of stacked samples run at once; their losses, counts and
+                    # blocks are reduced here, in sample order.
+                    parts = [batch[s : s + step] for s in range(0, len(batch), step)]
+                    total: dict[str, np.ndarray] = {}
+                    for ids, (loss, pred, grads) in zip(parts, workers.map(train_slice, parts)):
+                        losses.extend(loss.tolist())
+                        correct += int((pred == labels[ids]).sum())
+                        total = {k: _ordered_sum(total.get(k), g) for k, g in grads.items()}
+                    scale = 1.0 / len(batch)
 
-            # np.cumsum adds in sample order on every Python version
-            # (sum() compensates from Python 3.12 on).
-            epoch_loss = float(np.cumsum(losses)[-1]) / n
-            if not math.isfinite(epoch_loss):
-                raise NonFiniteError(f"non-finite mean training loss at epoch {global_epoch}")
-            if epoch_loss <= best_loss - MIN_LOSS_DELTA:
-                best_loss = epoch_loss
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= PLATEAU_PATIENCE:
-                    decay_mult *= DECAY_FACTOR
+                    # W takes the manifold step, every other block the
+                    # Euclidean one.
+                    blocks = params.blocks()
+                    for name, grad in total.items():
+                        if name != "stiefel.w":
+                            if lr != 0.0:
+                                blocks[name] = blocks[name] - lr * (grad * scale)
+                        elif not tc.freeze_stiefel:
+                            try:
+                                tangent = tangent_project(params.transform, grad * scale)
+                                blocks[name] = retract_step(params.transform, tangent, lr).w
+                            except (NonFiniteError, SingularMatrixError) as e:
+                                raise type(e)(
+                                    f"retraction failed at epoch {global_epoch}, "
+                                    f"batch {batch_no}: {e}"
+                                ) from e
+                    params = Params.from_blocks(blocks)
+                    max_orth = max(max_orth, params.transform.orthogonality_error())
+
+                # np.cumsum adds in sample order on every Python version
+                # (sum() compensates from Python 3.12 on).
+                epoch_loss = float(np.cumsum(losses)[-1]) / n
+                if not math.isfinite(epoch_loss):
+                    raise NonFiniteError(f"non-finite mean training loss at epoch {global_epoch}")
+                if epoch_loss <= best_loss - MIN_LOSS_DELTA:
+                    best_loss = epoch_loss
                     bad_epochs = 0
+                else:
+                    bad_epochs += 1
+                    if bad_epochs >= PLATEAU_PATIENCE:
+                        decay_mult *= DECAY_FACTOR
+                        bad_epochs = 0
 
-            test_acc = None
-            if len(sets) > 1:
-                test_acc = _accuracy(
-                    lambda ids: _classes(aggregated(1, ids)[0], params, pipeline),
-                    sets[1].labels,
-                    steps[1],
-                    where(1),
+                test_acc = None
+                if len(sets) > 1:
+                    test_acc = _accuracy(
+                        lambda ids: _classes(aggregated(1, ids)[0], params, pipeline),
+                        sets[1].labels,
+                        steps[1],
+                        where(1),
+                        workers,
+                    )
+                history.append(
+                    MetricsRecord(
+                        epoch=global_epoch,
+                        stage=stage,
+                        mean_train_loss=epoch_loss,
+                        train_accuracy=correct / n,
+                        test_accuracy=test_acc,
+                        lr=lr,
+                        stiefel_orthogonality_error=max_orth,
+                        wall_ms=(time.perf_counter() - t0) * 1000.0,
+                    )
                 )
-            history.append(
-                MetricsRecord(
-                    epoch=global_epoch,
-                    stage=stage,
-                    mean_train_loss=epoch_loss,
-                    train_accuracy=correct / n,
-                    test_accuracy=test_acc,
-                    lr=lr,
-                    stiefel_orthogonality_error=max_orth,
-                    wall_ms=(time.perf_counter() - t0) * 1000.0,
-                )
-            )
     return params, history
 
 

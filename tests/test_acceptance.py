@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import spd_agg
+import spd_agg.network as network_mod
 from spd_agg import (
     FtsDataset,
     FtsParseError,
@@ -323,24 +324,65 @@ def test_criterion_09_training_determinism(golden_files, capsys):
                f"metrics and checkpoint files ({replay}), byte-equal to {GOLDEN.name}/ ({golden})")
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_metrics_at_blas_thread_count(golden_files, threads):
-    """Every golden run, in one fresh process with OpenBLAS limited to
-    ``threads`` threads, writes the golden bytes."""
+def _replay_in_child(golden_files, tag, env=None, prelude=""):
+    """Replay every golden run in one fresh process, with ``env`` added
+    to its environment and the Python statements ``prelude`` run before
+    the program is imported.  Returns the child's ``network.WORKERS`` and
+    the names of the runs whose files differ from the golden ones."""
     root, files = golden_files
-    outs = {name: root / f"{name}.threads{threads}" for name in files}
+    outs = {name: root / f"{name}.{tag}" for name in files}
     src = str(Path(spd_agg.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c",
-         "import json, sys; from spd_agg.cli import main; "
+         f"import json, os, sys; {prelude}"
+         "from spd_agg import network; from spd_agg.cli import main; print(network.WORKERS); "
          "sys.exit(max(main(args) for args in json.loads(sys.argv[1])))",
          json.dumps([_train_args(files[name], out) for name, out in outs.items()])],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stderr
-    assert [name for name, out in outs.items() if not _same_bytes(out, GOLDEN / name)] == []
+    return (int(run.stdout.splitlines()[0]),
+            [name for name, out in outs.items() if not _same_bytes(out, GOLDEN / name)])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_metrics_at_blas_thread_count(golden_files, threads):
+    """Every golden run, in one fresh process with OpenBLAS limited to
+    ``threads`` threads, writes the golden bytes."""
+    _, differ = _replay_in_child(
+        golden_files, f"threads{threads}", env={"OPENBLAS_NUM_THREADS": threads}
+    )
+    assert differ == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask")
+@pytest.mark.parametrize("cpus", ["one", "all"])
+def test_golden_metrics_at_cpu_affinity(golden_files, cpus):
+    """Every golden run, in one fresh process that keeps the CPUs of its
+    affinity mask or narrows the mask to one CPU before the program is
+    imported, writes the golden bytes; the default worker count is the
+    size of the mask."""
+    prelude = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " if cpus == "one" else ""
+    workers, differ = _replay_in_child(golden_files, f"cpus_{cpus}", prelude=prelude)
+    assert workers == (1 if cpus == "one" else len(os.sched_getaffinity(0)))
+    assert differ == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_golden_metrics_at_worker_count(golden_files, monkeypatch, workers):
+    """Every golden run writes the golden bytes with ``workers`` threads
+    running its slices."""
+    monkeypatch.setattr(network_mod, "WORKERS", workers)
+    root, files = golden_files
+    differ = []
+    for name, paths in files.items():
+        out = root / f"{name}.workers{workers}"
+        assert main(_train_args(paths, out)) == 0
+        if not _same_bytes(out, GOLDEN / name):
+            differ.append(name)
+    assert differ == []
 
 
 def test_criterion_10_fts_robustness(tmp_path):

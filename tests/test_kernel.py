@@ -1,10 +1,12 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spd_agg.kernel as kernel_mod
 from spd_agg import (
     NonFiniteError,
     ShapeMismatchError,
@@ -71,6 +73,30 @@ class TestComputeSigma:
     def test_single_row_rejected(self):
         with pytest.raises(ValueError, match="two feature maps"):
             compute_sigma(np.zeros((1, 1)))
+
+    def test_negative_distances_refused_with_sample(self):
+        # A (C, H, W) map stack with H == W is square-trailing but not
+        # squared distances; samples 0 and 1 here have negative pairs.
+        maps = seeded_rng(0).standard_normal((3, 4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^squared distances of sample 0 must be >= 0"):
+                compute_sigma(maps)
+            with pytest.raises(ValueError, match=r"^squared distances must be >= 0, got -1\.0$"):
+                compute_sigma(-np.ones((4, 4)))
+            sq = np.zeros((2, 3, 4, 4))
+            sq[1, 2, 0, 3] = -0.5
+            with pytest.raises(ValueError, match=r"^squared distances of sample 1, 2 must"):
+                compute_sigma(sq)
+        # Negative entries below the diagonal are not read.
+        assert compute_sigma(np.tril(-np.ones((4, 4)))) == SIGMA_FLOOR
+
+    def test_pair_index_shared_and_read_only(self):
+        index = kernel_mod._pairs(5)
+        assert kernel_mod._pairs(5) is index
+        assert not index.flags.writeable
+        rows, cols = np.triu_indices(5, k=1)
+        assert index.tolist() == (rows * 5 + cols).tolist()
 
     # (6, 9) is a C x N map matrix, not squared distances.
     @pytest.mark.parametrize("shape", [(), (3,), (6, 9), (4, 2, 3)])

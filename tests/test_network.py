@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +34,9 @@ from spd_agg import (
     mix_forward,
     param_shapes,
     retract_step,
+    save_checkpoint,
     seeded_rng,
+    split_by_class,
     synth_generate,
     tangent_project,
     train,
@@ -882,3 +887,176 @@ class TestBatchedChain:
             assert np.array_equal(params.head.weights, runs[0][1].head.weights)
             if params.mix is not None:
                 assert np.array_equal(params.mix.weights, runs[0][1].mix.weights)
+
+
+def _map(fn, items):
+    with network_mod._Workers() as workers:
+        return workers.map(fn, items)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_map_runs_each_item_once_in_order(self, monkeypatch, workers):
+        # The caller and at most workers - 1 pool threads take the items.
+        monkeypatch.setattr(network_mod, "WORKERS", workers)
+        caller = threading.get_ident()
+        ran = []
+
+        def square(i):
+            ran.append((i, threading.get_ident()))
+            return i * i
+
+        assert _map(square, list(range(7))) == [i * i for i in range(7)]
+        assert sorted(i for i, _ in ran) == list(range(7))
+        assert len({thread for _, thread in ran} - {caller}) <= workers - 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_held_up_pool_thread_delays_no_item(self, monkeypatch, workers):
+        # A pool thread holds its first item until all eight have started:
+        # the caller takes the others instead of waiting for the pool.
+        monkeypatch.setattr(network_mod, "WORKERS", workers)
+        caller = threading.get_ident()
+        lock, all_started = threading.Lock(), threading.Event()
+        ran = {}
+
+        def run(i):
+            with lock:
+                ran[i] = threading.get_ident()
+                if len(ran) == 8:
+                    all_started.set()
+            if ran[i] != caller:
+                assert all_started.wait(10.0)
+            return i
+
+        assert _map(run, list(range(8))) == list(range(8))
+        assert len([i for i, thread in ran.items() if thread != caller]) <= workers - 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("items", [1, 2, 3])
+    def test_fewer_than_two_items_per_thread_run_on_the_caller(self, monkeypatch, workers, items):
+        # Without concurrent.futures up to three items still run, on the
+        # caller; four need it.
+        monkeypatch.setattr(network_mod, "WORKERS", workers)
+        monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+        caller = threading.get_ident()
+        assert _map(lambda i: (i, threading.get_ident()), list(range(items))) == [
+            (i, caller) for i in range(items)
+        ]
+        with pytest.raises(ImportError):
+            _map(abs, [-3, -4, -5, -6])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (3, 4)])
+    def test_map_raises_the_first_error_in_order(self, monkeypatch, workers, failing):
+        # Two failing items, on whichever threads take them: the earlier
+        # one's error is raised, whichever failed first.
+        monkeypatch.setattr(network_mod, "WORKERS", workers)
+
+        def check(i):
+            if i in failing:
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match=f"^item {failing[0]}$"):
+            _map(check, list(range(8)))
+
+    def test_error_stops_the_other_threads(self, monkeypatch):
+        # Item 0 fails on the caller while the one pool thread runs item 1;
+        # no thread takes an item after that.
+        monkeypatch.setattr(network_mod, "WORKERS", 2)
+        started, pool_busy, failed = [], threading.Event(), threading.Event()
+
+        def run(i):
+            started.append(i)
+            if i == 0:
+                assert pool_busy.wait(10.0)
+                failed.set()
+                raise ValueError("first")
+            pool_busy.set()
+            assert failed.wait(10.0)
+            time.sleep(0.1)
+            return i
+
+        with pytest.raises(ValueError, match="^first$"):
+            _map(run, list(range(8)))
+        assert sorted(started) == [0, 1]
+
+    def test_callers_errstate_holds_on_the_pool(self, monkeypatch):
+        # The caller holds item 0 until the pool thread has run item 1.
+        monkeypatch.setattr(network_mod, "WORKERS", 2)
+        caller = threading.get_ident()
+        items = [np.ones(4)] + [np.full(4, 1e308)] * 3
+
+        def scale(x):
+            if threading.get_ident() == caller:
+                assert pool_ran.wait(10.0)
+                return x * 10.0
+            try:
+                return x * 10.0
+            finally:
+                pool_ran.set()
+
+        pool_ran = threading.Event()
+        with np.errstate(over="ignore"):
+            assert np.isinf(_map(scale, items)[1]).all()
+        pool_ran = threading.Event()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _map(scale, items)
+
+    def test_worker_count_changes_no_bit(self, monkeypatch, tmp_path):
+        # C = 64 maps of N = 4 without a mixer: 8-sample slices, so a batch
+        # of 32 runs in 4 slices and the 32 held-out samples in 4; epoch 1
+        # of each stage records bandwidths from slices that either thread
+        # runs.  A short switch interval makes the threads interleave often.
+        ds = synth_generate(num_classes=2, per_class=40, c0=64, h=2, w=2, seed=2)
+        train_ds, held_out = split_by_class(ds, 24)
+        pipe = PipelineConfig(in_channels=64, mixed_channels=0, transform_dim=8, num_classes=2)
+        tc = TrainConfig(lr_stage1=1.0, lr_stage2=0.1, epochs_per_stage=2, batch_size=32, seed=3)
+        assert network_mod._slice_size(pipe, 4) == 8
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(network_mod, "WORKERS", workers)
+                params, history = train(train_ds, pipe, tc, test_dataset=held_out)
+                path = tmp_path / f"workers{workers}.ftsp"
+                save_checkpoint(path, params, pipe)
+                accuracy = evaluate_accuracy(held_out.samples, held_out.labels, params, pipe)
+                runs.append(([h.to_json_line() for h in history], path.read_bytes(), accuracy))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("held_out", [False, True])
+    def test_earlier_of_two_failing_slices_named(self, monkeypatch, workers, held_out):
+        # Slices of 2 samples (covariance without a mixer at 2 x 2 maps
+        # caches nothing) and batches of 8: NaN samples in slices 2 and 3
+        # of the first batch, or of the held-out set, each of 4 slices, so
+        # at 2 and 3 workers the caller and a pool thread share them.
+        pipe = PipelineConfig(
+            in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2,
+            aggregator="covariance",
+        )
+        monkeypatch.setattr(network_mod, "SLICE_VALUES", 2 * 36)
+        monkeypatch.setattr(network_mod, "WORKERS", workers)
+        ds = tiny_dataset(seed=4, h=2, w=2)
+        rng = seeded_rng(0)
+        init_params(pipe, rng)
+        order = np.arange(len(ds.labels)) if held_out else rng.permutation(len(ds.labels))
+        first, later = int(order[4]), int(order[6])
+        bad = tiny_dataset(seed=4, h=2, w=2)
+        bad.samples[[first, later], 0, 0, 0] = np.nan
+        name = "held-out sample" if held_out else "sample"
+        message = (
+            f"^non-finite value at epoch 1, {name} {first}: "
+            "non-finite values first appeared in: input feature tensor$"
+        )
+        tc = TrainConfig(epochs_per_stage=1, seed=0, batch_size=8)
+        with pytest.raises(NonFiniteError, match=message):
+            if held_out:
+                train(ds, pipe, tc, test_dataset=bad)
+            else:
+                train(bad, pipe, tc)
