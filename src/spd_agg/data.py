@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import FtsParseError, NonFiniteError, ShapeMismatchError
 from .linalg import matmul, seeded_rng
-from .network import Params, PipelineConfig, param_shapes
+from .network import Params, PipelineConfig, integer_labels, param_shapes
 
 __all__ = [
     "FtsDataset",
@@ -71,7 +71,7 @@ class FtsDataset:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = integer_labels(self.labels)
         if self.samples.ndim != 4:
             raise ShapeMismatchError(f"samples must be (n, C, H, W), got {self.samples.shape}")
         if self.labels.shape != (self.samples.shape[0],):

@@ -58,17 +58,19 @@ def vectorize(y: np.ndarray) -> np.ndarray:
     Frobenius norm.
 
     Every producer in the chain hands over an exactly symmetric matrix;
-    input further than 1e-10 from symmetric is refused.  On symmetric
+    input further than 1e-10 from symmetric is refused (the distance is
+    taken only for input that is not exactly symmetric).  On symmetric
     matrices :func:`vectorize_backward` is the exact adjoint.  A stack
     of matrices along leading axes gives a stack of vectors.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim < 2 or y.shape[-1] != y.shape[-2]:
         raise ShapeMismatchError(f"vectorize input must be square, got shape {y.shape}")
-    diff = y - y.swapaxes(-1, -2)
-    asym = float(np.sqrt((diff * diff).sum(axis=(-2, -1))).max())
-    if asym > 1e-10:
-        raise ValueError(f"vectorize input is not symmetric: ||y - y^T||_F = {asym:.3e}")
+    if not (y == y.swapaxes(-1, -2)).all():
+        diff = y - y.swapaxes(-1, -2)
+        asym = float(np.sqrt((diff * diff).sum(axis=(-2, -1))).max())
+        if asym > 1e-10:
+            raise ValueError(f"vectorize input is not symmetric: ||y - y^T||_F = {asym:.3e}")
     c = y.shape[-1]
     rows, cols, scale = _triu(c)
     # np.take keeps each vector of a stack contiguous: the l2 step's
@@ -199,7 +201,9 @@ def dense_softmax_ce(
 
     Returns the loss and closed-form gradients for the input vector, the
     weights, and the bias.  For a stack of vectors ``label`` holds one
-    label per vector, and the loss and each gradient are per vector.
+    label per vector, and the loss and each gradient are per vector.  The
+    input gradient W^T dz is the row product dz W, whose entries add the
+    class terms in order from zero as one rank-1 update per class would.
     """
     num_classes = params.weights.shape[0]
     label = np.asarray(label)
@@ -212,7 +216,7 @@ def dense_softmax_ce(
     dz = np.exp(shifted - log_norm) - (np.arange(num_classes) == label[..., None])
     v = np.asarray(v, dtype=np.float64)
     return loss, DenseGrads(
-        v=matmul(params.weights.T, dz[..., :, None])[..., 0],
+        v=matmul(dz[..., None, :], params.weights)[..., 0, :],
         weights=dz[..., :, None] * v[..., None, :],
         bias=dz,
     )

@@ -36,6 +36,10 @@ __all__ = [
 #: Lower bound on the bandwidth; hit only when all maps coincide.
 SIGMA_FLOOR = 1e-12
 
+#: Float64 values (512 KiB) the map differences of one row block of
+#: :func:`kernel_backward` hold: the rows of a block, over the whole stack.
+BACKWARD_VALUES = 65_536
+
 
 @dataclass(frozen=True)
 class KernelTape:
@@ -108,7 +112,11 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
     elementwise exponentials.  Diagonal entries are exactly 1 (the
     exponent cancels identically), the result is exactly symmetric as
     computed (mirrored entries swap the operands of every product and
-    sum), and all entries lie in (0, 1].
+    sum), and all entries lie in (0, 1].  The clamped squared distances,
+    the exponent d / (-2 sigma^2) (which rounds exactly as
+    -d / (2 sigma^2) does) and the exponential are formed in one buffer,
+    from a copy of the Gram diagonal and the Gram product doubled in
+    place; the bandwidth is taken from the distances before the divide.
 
     Parameters
     ----------
@@ -127,20 +135,24 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
     if not np.isfinite(m).all():
         raise NonFiniteError("kernel aggregation input contains non-finite values")
     gram = matmul(m, m.swapaxes(-1, -2))
-    sq_norms = np.diagonal(gram, axis1=-2, axis2=-1)
+    sq_norms = np.diagonal(gram, axis1=-2, axis2=-1).copy()
+    gram *= 2.0
+    k = np.add(sq_norms[..., :, None], sq_norms[..., None, :])
+    k -= gram
     # Rounding can push squared distances a hair below zero; clamp so the
     # kernel never exceeds 1.
-    sq_dists = np.maximum(sq_norms[..., :, None] + sq_norms[..., None, :] - 2.0 * gram, 0.0)
+    np.maximum(k, 0.0, out=k)
     if sigma is None:
-        sigma = compute_sigma(sq_dists)
+        sigma = compute_sigma(k)
     elif np.shape(sigma) != m.shape[:-2]:
         raise ShapeMismatchError(
             f"bandwidth shape {np.shape(sigma)} does not match the stack shape {m.shape[:-2]}"
         )
     elif not (np.isfinite(sigma) & (np.asarray(sigma) > 0.0)).all():
         raise ValueError(f"bandwidth must be finite and positive, got {sigma}")
-    scale = np.asarray(2.0 * sigma * sigma)[..., None, None]
-    k = np.exp(-sq_dists / scale)
+    # d / (-2 sigma^2) rounds exactly as -d / (2 sigma^2) does.
+    k /= -np.asarray(2.0 * sigma * sigma)[..., None, None]
+    np.exp(k, out=k)
     return k, KernelTape(m=m, k=k, sigma=sigma)
 
 
@@ -151,22 +163,34 @@ def kernel_backward(tape: KernelTape, grad_k: np.ndarray) -> np.ndarray:
 
         dL/df_i = sum_j (G_ij + G_ji) * K_ij * (f_j - f_i) / sigma^2.
 
-    The terms are added over j in order from zeros, as
-    :func:`~spd_agg.linalg.matmul` adds over its inner index, each one
-    stacked over samples and maps i: a stack gives each sample its own
-    bits, and every temporary has the shape of ``tape.m``.  Coincident
-    maps yield exact zeros.  Returns dL/dM with the shape of ``tape.m``.
+    The sum is ``np.einsum("...ij,...ijn->...in", coeff, f_j - f_i)``,
+    which iterates j outside n and adds the terms over j in order from
+    zeros, as :func:`~spd_agg.linalg.matmul` adds over its inner index;
+    a stack gives each sample its own bits.  It runs in blocks of rows i
+    whose differences f_j - f_i hold at most :data:`BACKWARD_VALUES`
+    values (at least one row), so the largest temporary grows with C x N
+    per sample, not C x C x N.  Coincident maps yield exact zeros.
+    Returns dL/dM with the shape of ``tape.m``.
     """
     grad_k = np.asarray(grad_k, dtype=np.float64)
     if grad_k.shape != tape.k.shape:
         raise ShapeMismatchError(
             f"upstream gradient shape {grad_k.shape} does not match kernel shape {tape.k.shape}"
         )
-    sq_sigma = np.asarray(tape.sigma * tape.sigma)[..., None, None]
-    coeff = (grad_k + grad_k.swapaxes(-1, -2)) * tape.k / sq_sigma
-    out = np.zeros_like(tape.m)
-    for j in range(tape.m.shape[-2]):
-        out += coeff[..., :, j : j + 1] * (tape.m[..., j : j + 1, :] - tape.m)
+    coeff = grad_k + grad_k.swapaxes(-1, -2)
+    coeff *= tape.k
+    coeff /= np.asarray(tape.sigma * tape.sigma)[..., None, None]
+    m = tape.m
+    out = np.empty_like(m)
+    rows = max(1, BACKWARD_VALUES // m.size)
+    for start in range(0, m.shape[-2], rows):
+        block = slice(start, start + rows)
+        np.einsum(
+            "...ij,...ijn->...in",
+            coeff[..., block, :],
+            m[..., None, :, :] - m[..., block, None, :],
+            out=out[..., block, :],
+        )
     return out
 
 

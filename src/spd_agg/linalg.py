@@ -75,9 +75,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(a + a^T) / 2 on the last two axes: bit-for-bit symmetric, since
-    the two mirrored sums add the same two values."""
-    return (a + a.swapaxes(-1, -2)) / 2.0
+    """(a + a^T) / 2 on the last two axes, halved in place: bit-for-bit
+    symmetric, since the two mirrored sums add the same two values."""
+    out = a + a.swapaxes(-1, -2)
+    out /= 2.0
+    return out
 
 
 def qr_reduced(a: np.ndarray) -> QrFactors:

@@ -616,10 +616,27 @@ def _located(run, ids, n: int, where: str):
         raise
 
 
+def integer_labels(labels) -> np.ndarray:
+    """``labels`` as an int64 array.  A label that is not a whole number
+    (0.7, NaN, infinity, or beyond int64) is refused with ``ValueError``
+    naming it, where a cast would truncate it silently."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):
+        ints = labels.astype(np.int64)
+    if labels.dtype.kind not in "biu":
+        bad = np.flatnonzero(ints != labels)
+        if bad.size:
+            label = labels.reshape(-1)[bad[0]].item()
+            raise ValueError(f"label {label!r} at position {bad[0]} is not an integer")
+    return ints
+
+
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    """Refuse an empty set, or a label outside ``[0, num_classes)``."""
+    """Refuse an empty set, a label that is not an integer, or a label
+    outside ``[0, num_classes)``."""
     if len(labels) == 0:
         raise ValueError("dataset is empty")
+    integer_labels(labels)
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError(
             f"labels must lie in [0, {num_classes}), got range [{labels.min()}, {labels.max()}]"
@@ -659,11 +676,26 @@ def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -
         )
 
 
+#: Values per sample from which :func:`_ordered_sum` adds whole blocks;
+#: below it, one ``np.cumsum`` over the stack is cheaper than a Python
+#: loop over the samples.
+_BLOCK_ADD_VALUES = 128
+
+
 def _ordered_sum(total: np.ndarray | None, stack: np.ndarray) -> np.ndarray:
     """``total + stack[0] + stack[1] + ...`` from left to right, or
     ``stack[0] + stack[1] + ...`` without a total: starting from the first
-    sample, not from zeros, keeps signed zeros.  ``np.cumsum`` adds in
-    order; ``np.sum`` over the sample axis would pair the terms up."""
+    sample, not from zeros, keeps signed zeros.  ``np.sum`` over the
+    sample axis would pair the terms up.  One sample, or blocks of at
+    least :data:`_BLOCK_ADD_VALUES` values, are added a whole block at a
+    time into a fresh array; smaller blocks of several samples go through
+    one sequential ``np.cumsum`` along the sample axis, which adds in the
+    same order."""
+    if len(stack) == 1 or stack[0].size >= _BLOCK_ADD_VALUES:
+        out = stack[0].copy() if total is None else total + stack[0]
+        for block in stack[1:]:
+            out += block
+        return out
     if total is not None:
         stack = np.concatenate([total[None], stack])
     return np.cumsum(stack, axis=0)[-1]

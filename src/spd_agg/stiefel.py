@@ -125,10 +125,15 @@ def transform_backward_param(tape: TransformTape, grad_y: np.ndarray) -> np.ndar
     Requires K and G exactly symmetric, as every producer makes them
     (the aggregators, :func:`~spd_agg.head.vectorize_backward` and the
     ReLU mask): the general K^T W G + K W G^T then has two bit-identical
-    terms, and the forward's T^T equals K W bit for bit.
+    terms, and the forward's T^T equals K W bit for bit.  It is formed as
+    2 (G T)^T, whose entries add the products of 2 T^T G in the same
+    order because G equals G^T bit for bit, with no transposed copy of T
+    and C-long inner rows.
     """
     g = _check_grad_y(tape, grad_y)
-    return 2.0 * matmul(tape.t.swapaxes(-1, -2), g)
+    product = matmul(g, tape.t)
+    product *= 2.0
+    return product.swapaxes(-1, -2)
 
 
 def tangent_project(w: StiefelPoint, euclid_grad: np.ndarray) -> np.ndarray:

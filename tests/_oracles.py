@@ -7,6 +7,9 @@ not tautology.
 
 import numpy as np
 
+from spd_agg.kernel import as_feature_matrix, compute_sigma
+from spd_agg.linalg import matmul
+
 
 def matmul_triple_loop(a, b):
     """Naive product with sequential accumulation over the inner index."""
@@ -52,6 +55,50 @@ def kernel_backward_loop(m, k, sigma, grad_k):
         for j in range(c):
             out[i] += (grad_k[i, j] + grad_k[j, i]) * k[i, j] * (m[j] - m[i]) / sigma**2
     return out
+
+
+# The formulas below are the library's earlier vectorized forms, kept
+# verbatim: the current forms must match them bit for bit.
+
+
+def kernel_forward_formula(x, sigma=None):
+    """(K, sigma) from fresh temporaries: clamped squared distances from
+    the Gram identity, then exp(-d / (2 sigma^2))."""
+    m = as_feature_matrix(x)
+    gram = matmul(m, m.swapaxes(-1, -2))
+    sq_norms = np.diagonal(gram, axis1=-2, axis2=-1)
+    sq_dists = np.maximum(sq_norms[..., :, None] + sq_norms[..., None, :] - 2.0 * gram, 0.0)
+    if sigma is None:
+        sigma = compute_sigma(sq_dists)
+    scale = np.asarray(2.0 * sigma * sigma)[..., None, None]
+    return np.exp(-sq_dists / scale), sigma
+
+
+def kernel_backward_formula(m, k, sigma, grad_k):
+    """One stacked rank-1 update per map j, added in order from zeros."""
+    sq_sigma = np.asarray(sigma * sigma)[..., None, None]
+    coeff = (grad_k + grad_k.swapaxes(-1, -2)) * k / sq_sigma
+    out = np.zeros_like(m)
+    for j in range(m.shape[-2]):
+        out += coeff[..., :, j : j + 1] * (m[..., j : j + 1, :] - m)
+    return out
+
+
+def transform_param_grad_formula(t, g):
+    """2 T^T G, with T^T copied to C order."""
+    return 2.0 * matmul(t.swapaxes(-1, -2), g)
+
+
+def dense_input_grad_formula(weights, dz):
+    """W^T dz as one rank-1 update per class."""
+    return matmul(weights.T, dz[..., :, None])[..., 0]
+
+
+def ordered_sum_formula(total, stack):
+    """total + stack[0] + stack[1] + ... by one sequential np.cumsum."""
+    if total is not None:
+        stack = np.concatenate([total[None], stack])
+    return np.cumsum(stack, axis=0)[-1]
 
 
 def covariance_inner_products(m):

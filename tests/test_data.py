@@ -379,3 +379,16 @@ class TestDatasetValidation:
     def test_shape_mismatch_checked(self):
         with pytest.raises(Exception):
             FtsDataset(samples=np.zeros((2, 1, 1)), labels=np.array([0, 1]), num_classes=2)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([0.7, 1.2], "label 0.7 at position 0"), ([0.0, np.inf], "label inf at position 1")],
+    )
+    def test_non_integer_label_refused(self, labels, message):
+        # A cast to int64 would store [0, 1] for [0.7, 1.2].
+        with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+            FtsDataset(samples=np.zeros((2, 1, 1, 1)), labels=labels, num_classes=2)
+
+    def test_whole_float_labels_stored_as_integers(self):
+        ds = FtsDataset(samples=np.zeros((2, 1, 1, 1)), labels=[1.0, 0.0], num_classes=2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]

@@ -18,7 +18,14 @@ from spd_agg import (
     vectorize_backward,
 )
 from spd_agg.head import L2_FLOOR
-from _oracles import ADJOINT_RTOL, adjoint_gap, central_diff, random_symmetric, rel_err
+from _oracles import (
+    ADJOINT_RTOL,
+    adjoint_gap,
+    central_diff,
+    dense_input_grad_formula,
+    random_symmetric,
+    rel_err,
+)
 
 
 def softmax_ce(v, params, label):
@@ -269,6 +276,23 @@ class TestDenseSoftmaxCe:
             )
             loss, _ = softmax_ce(rng.standard_normal(5), params, int(rng.integers(3)))
             assert loss >= 0.0
+
+    @pytest.mark.parametrize(
+        "stack, classes, head_dim", [((8,), 2, 528), ((32,), 2, 36), ((), 3, 10), ((4,), 3, 1)]
+    )
+    def test_input_gradient_bits_match_rank1_updates(self, stack, classes, head_dim):
+        # The row product dz W adds the class terms in the order of the
+        # one-column W^T dz, also across zero and -0.0 weights.
+        rng = seeded_rng(28)
+        weights = rng.standard_normal((classes, head_dim))
+        weights[0, ::3] = -0.0
+        weights[-1, 1::3] = 0.0
+        params = DenseParams(weights=weights, bias=rng.standard_normal(classes))
+        v = rng.standard_normal(stack + (head_dim,))
+        label = rng.integers(classes, size=stack)
+        _, grads = softmax_ce(v, params, label)
+        ref = dense_input_grad_formula(weights, grads.bias)
+        assert grads.v.shape == ref.shape and grads.v.tobytes() == ref.tobytes()
 
     def test_all_gradients_match_finite_differences(self):
         rng = seeded_rng(8)

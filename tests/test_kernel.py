@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,8 +25,10 @@ from _oracles import (
     adjoint_gap,
     central_diff,
     covariance_inner_products,
+    kernel_backward_formula,
     kernel_backward_loop,
     kernel_entrywise,
+    kernel_forward_formula,
     rel_err,
     sigma_double_loop,
 )
@@ -246,6 +249,96 @@ class TestKernelBackward:
         _, tape = kernel_forward(rng.standard_normal((4, 2, 3)))
         with pytest.raises(ShapeMismatchError):
             kernel_backward(tape, np.zeros((3, 3)))
+
+
+#: The benchmark shapes: the desk stack, a C=64, N=4 stack and one
+#: C=64, N=196 sample.
+BIT_SHAPES = [(32, 12, 6, 6), (8, 64, 2, 2), (64, 14, 14)]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def bit_inputs(shape, seed):
+    """Raw maps, ReLU-clipped maps (many coincident entries) and maps
+    whose first two channels coincide."""
+    raw = seeded_rng(seed).standard_normal(shape)
+    twin = raw.copy()
+    twin[..., 1, :, :] = twin[..., 0, :, :]
+    return [raw, np.maximum(raw, 0.0), twin]
+
+
+class TestBitsAgainstFormulas:
+    """The in-place forward and the blocked backward do the operations of
+    the earlier formulas (``_oracles``) in the same order."""
+
+    @pytest.mark.parametrize("shape", BIT_SHAPES)
+    def test_forward_kernel_and_bandwidth(self, shape):
+        for x in bit_inputs(shape, 30):
+            k, tape = kernel_forward(x)
+            ref_k, ref_sigma = kernel_forward_formula(x)
+            assert same_bits(k, ref_k) and same_bits(tape.sigma, ref_sigma)
+            recorded = ref_sigma * 1.25
+            got = kernel_forward(x, sigma=recorded)[0]
+            assert same_bits(got, kernel_forward_formula(x, recorded)[0])
+
+    @pytest.mark.parametrize("shape", BIT_SHAPES)
+    def test_backward(self, shape):
+        rng = seeded_rng(31)
+        for x in bit_inputs(shape, 32):
+            k, tape = kernel_forward(x)
+            g = rng.standard_normal(k.shape)
+            ref = kernel_backward_formula(tape.m, k, tape.sigma, g)
+            assert same_bits(kernel_backward(tape, g), ref)
+
+    def test_coincident_maps_still_give_exact_zeros(self):
+        x = np.repeat(seeded_rng(33).standard_normal((1, 14, 14)), 64, axis=0)
+        k, tape = kernel_forward(x)
+        g = seeded_rng(34).standard_normal((64, 64))
+        grad = kernel_backward(tape, g)
+        assert same_bits(grad, np.zeros((64, 196)))
+        assert same_bits(grad, kernel_backward_formula(tape.m, k, tape.sigma, g))
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 12])
+    def test_backward_bits_do_not_depend_on_the_row_block(self, monkeypatch, rows):
+        # Blocks of 1, 2, 5 (12 = 5 + 5 + 2) and all 12 rows; the budget
+        # counts the differences of a whole 32-sample stack.
+        x = seeded_rng(35).standard_normal((32, 12, 6, 6))
+        g = seeded_rng(36).standard_normal((32, 12, 12))
+        _, tape = kernel_forward(x)
+        at_default = kernel_backward(tape, g)
+        monkeypatch.setattr(kernel_mod, "BACKWARD_VALUES", rows * 32 * 12 * 36)
+        assert same_bits(kernel_backward(tape, g), at_default)
+
+    def test_caller_arrays_are_not_written(self):
+        x = seeded_rng(37).standard_normal((8, 64, 2, 2))
+        g = seeded_rng(38).standard_normal((8, 64, 64))
+        sigma = kernel_forward(x)[1].sigma
+        before = [a.tobytes() for a in (x, g, sigma)]
+        k, tape = kernel_forward(x, sigma=sigma)
+        assert np.shares_memory(tape.m, x)
+        k_bytes = k.tobytes()
+        kernel_backward(tape, g)
+        assert [a.tobytes() for a in (x, g, sigma)] == before
+        assert tape.k.tobytes() == k_bytes
+
+    def test_backward_peak_memory_within_the_row_block(self):
+        # Unblocked, the differences of one C=64, N=196 sample alone take
+        # C x C x N x 8 bytes = 6.4 MB.
+        c, n = 64, 196
+        _, tape = kernel_forward(seeded_rng(39).standard_normal((c, 14, 14)))
+        g = seeded_rng(40).standard_normal((c, c))
+        kernel_backward(tape, g)
+        tracemalloc.start()
+        try:
+            kernel_backward(tape, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = (kernel_mod.BACKWARD_VALUES + 2 * c * n + 2 * c * c) * 8
+        assert 0 < peak <= budget < c * c * n * 8
 
 
 class TestCovariance:

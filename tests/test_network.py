@@ -41,7 +41,7 @@ from spd_agg import (
     tangent_project,
     train,
 )
-from _oracles import ADJOINT_RTOL, adjoint_gap, central_diff, rel_err
+from _oracles import ADJOINT_RTOL, adjoint_gap, central_diff, ordered_sum_formula, rel_err
 
 SMALL = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=3)
 
@@ -750,6 +750,21 @@ class TestEvaluateAccuracy:
             evaluate_accuracy(samples, np.zeros(count, dtype=int), params, SMALL)
 
 
+    @pytest.mark.parametrize("labels, bad", [([0.0, 0.5], "0.5"), ([np.nan, 1.0], "nan")])
+    def test_non_integer_label_rejected(self, labels, bad):
+        # 0.5 matches no class, so it used to read as a wrong prediction.
+        params = init_params(SMALL, seeded_rng(0))
+        samples = seeded_rng(1).standard_normal((2, 6, 3, 3))
+        with pytest.raises(ValueError, match=f"^label {bad} at position [01] is not an integer$"):
+            evaluate_accuracy(samples, labels, params, SMALL)
+
+    def test_whole_float_labels_accepted(self):
+        params = init_params(SMALL, seeded_rng(0))
+        samples = seeded_rng(1).standard_normal((2, 6, 3, 3))
+        assert evaluate_accuracy(samples, [0.0, 2.0], params, SMALL) == evaluate_accuracy(
+            samples, [0, 2], params, SMALL
+        )
+
     @pytest.mark.parametrize("shape", [(16, 6, 6), (6, 3, 3), (2, 1, 6, 3, 3)])
     def test_samples_must_be_4d(self, shape):
         # One (C, H, W) sample with as many labels as channels used to be
@@ -853,6 +868,23 @@ class TestBatchedChain:
         for name in total:
             assert np.array_equal(total[name], single_total[name]), name
 
+    def test_backward_writes_no_tape_array(self):
+        rng = seeded_rng(22)
+        xs = rng.standard_normal((4, 6, 3, 3))
+        params = init_params(SMALL, rng, random_head=True)
+        _, _, tapes = forward(xs, np.array([0, 1, 2, 0]), params, SMALL)
+
+        def tape_bytes():
+            arrays = [xs, tapes.x, tapes.mix.m0, tapes.mix.pre, tapes.agg_input, tapes.kernel.m,
+                      tapes.kernel.k, tapes.kernel.sigma, tapes.transform.t, tapes.power_tape,
+                      *tapes.l2_tape, tapes.logits, *tapes.dense_grads,
+                      *(block for block in params.blocks().values())]
+            return [np.asarray(a).tobytes() for a in arrays]
+
+        before = tape_bytes()
+        backward(tapes)
+        assert tape_bytes() == before
+
     def test_skipped_blocks_leave_the_rest_unchanged(self):
         # Tapes without x give no input gradient; tapes without the
         # aggregation's give nothing below the compression, x or not.
@@ -892,6 +924,46 @@ class TestBatchedChain:
 def _map(fn, items):
     with network_mod._Workers() as workers:
         return workers.map(fn, items)
+
+
+#: Stacks of per-sample blocks as the gradient blocks come: the
+#: compression's (8, 64, 32) with the transposed layout of
+#: ``transform_backward_param``, the desk head's, one sample, and blocks
+#: of one value, as 0-d and as (1,) entries.
+SUM_STACKS = [
+    lambda rng: rng.standard_normal((8, 32, 64)).swapaxes(-1, -2),
+    lambda rng: rng.standard_normal((8, 2, 528)),
+    lambda rng: rng.standard_normal((32, 12, 8)),
+    lambda rng: rng.standard_normal((32, 2)),
+    lambda rng: rng.standard_normal((1, 64, 32)),
+    lambda rng: rng.standard_normal(8) * 10.0 ** rng.integers(-8, 8, size=8),
+    lambda rng: rng.standard_normal((32, 1)) * 10.0 ** rng.integers(-8, 8, size=(32, 1)),
+]
+
+
+class TestOrderedSum:
+    @pytest.mark.parametrize("make", SUM_STACKS)
+    @pytest.mark.parametrize("with_total", [False, True])
+    def test_bits_match_concatenate_then_cumsum(self, make, with_total):
+        for seed in range(10):
+            rng = seeded_rng(seed)
+            stack = make(rng)
+            total = rng.standard_normal(stack.shape[1:]) if with_total else None
+            inputs = [a.tobytes() for a in (stack, total) if a is not None]
+            got = network_mod._ordered_sum(total, stack)
+            ref = ordered_sum_formula(total, stack)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), seed
+            assert [a.tobytes() for a in (stack, total) if a is not None] == inputs
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (4, 64, 32)])
+    def test_signed_zeros_kept(self, shape):
+        # -0.0 + -0.0 is -0.0; a zero-started sum would give +0.0.
+        negative = np.full(shape, -0.0)
+        for total, want in ((None, -0.0), (np.full(shape[1:], -0.0), -0.0),
+                            (np.zeros(shape[1:]), 0.0)):
+            got = network_mod._ordered_sum(total, negative)
+            ref = ordered_sum_formula(total, negative)
+            assert got.tobytes() == ref.tobytes() == np.full(shape[1:], want).tobytes()
 
 
 class TestWorkers:

@@ -24,7 +24,13 @@ from spd_agg import (
     transform_backward_param,
     transform_forward,
 )
-from _oracles import central_diff, random_spd, random_symmetric, rel_err
+from _oracles import (
+    central_diff,
+    random_spd,
+    random_symmetric,
+    rel_err,
+    transform_param_grad_formula,
+)
 
 
 class TestInit:
@@ -114,6 +120,21 @@ class TestTransformBackward:
         w = stiefel_init(9, 4, rng)
         _, tape = transform_forward(k, w)
         assert np.array_equal(tape.t.swapaxes(-1, -2), matmul(k, w.w))
+
+    @pytest.mark.parametrize(
+        "stack, c, c_prime", [((8,), 64, 32), ((32,), 12, 8), ((), 64, 32), ((3,), 5, 1)]
+    )
+    def test_param_gradient_bits_match_two_t_transpose_g(self, stack, c, c_prime):
+        # 2 (G T)^T adds the products of 2 T^T G in the same order when G
+        # is exactly symmetric; -0.0 entries keep their sign on both sides.
+        rng = seeded_rng(27)
+        k = symmetrize(rng.standard_normal(stack + (c, c)))
+        _, tape = transform_forward(k, stiefel_init(c, c_prime, rng))
+        g = symmetrize(rng.standard_normal(stack + (c_prime, c_prime)))
+        g[..., 0, :] = g[..., :, 0] = -0.0
+        ref = transform_param_grad_formula(tape.t, g)
+        got = transform_backward_param(tape, g)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_input_gradient_matches_finite_differences(self):
         rng = seeded_rng(11)
