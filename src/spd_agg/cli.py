@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -222,7 +223,9 @@ def cmd_certify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     p = argparse.ArgumentParser(
         prog="spd-agg",
         description="Second-order feature aggregation with a learnable manifold compression.",

@@ -178,19 +178,14 @@ class DenseGrads(NamedTuple):
 
 
 def dense_logits(v: np.ndarray, params: DenseParams) -> np.ndarray:
-    """Class scores W v + b of a vector, or of each vector of a stack.
-
-    Each score sums its products in head order with one sequential
-    ``np.cumsum``; adding 0.0 gives the +0.0 a zero-started sum such as
-    :func:`~spd_agg.linalg.matmul` gives when every product is -0.0.
-    """
+    """Class scores W v + b of a vector, or of each vector of a stack,
+    through the row product v W^T."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim < 1 or v.shape[-1] != params.weights.shape[1]:
         raise ShapeMismatchError(
             f"input length {v.shape} does not match weight columns ({params.weights.shape[1]},)"
         )
-    products = params.weights * v[..., None, :]
-    return (np.cumsum(products, axis=-1)[..., -1] + 0.0) + params.bias
+    return matmul(v[..., None, :], params.weights.T)[..., 0, :] + params.bias
 
 
 def dense_softmax_ce(

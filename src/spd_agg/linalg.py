@@ -49,10 +49,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed, sequential summation order.
 
     Every entry has the bits of the naive ``s += a[i, k] * b[k, j]``
-    triple loop.  With two or more output columns this is ``np.einsum`` on
-    C-contiguous copies, which numpy iterates i, k, j with j innermost; on
-    other layouts, and for one column, einsum reduces k innermost in
-    pairs, so a one-column output adds one rank-1 update per inner index.
+    triple loop.  This is ``np.einsum`` on C-contiguous copies, which
+    numpy iterates i, k, j with j innermost.  On other layouts, and for
+    one output column, einsum reduces k innermost in pairs, so a
+    one-column product runs as column 0 of a two-column one.
     This assumes einsum's kernels do not fuse multiply-add; the bit tests
     in ``tests/test_linalg.py`` fail on a numpy build whose kernels do.
     Axes before the last two are stack axes that broadcast as in
@@ -66,12 +66,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, k), (k2, n) = a.shape[-2:], b.shape[-2:]
     if k != k2:
         raise ShapeMismatchError(f"inner dimensions differ: {m}x{k} times {k2}x{n}")
-    if n >= 2:
-        return np.einsum("...ik,...kj->...ij", np.ascontiguousarray(a), np.ascontiguousarray(b))
-    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
-    for i in range(k):
-        out += a[..., :, i : i + 1] * b[..., i : i + 1, :]
-    return out
+    b = np.concatenate((b, b), axis=-1) if n == 1 else np.ascontiguousarray(b)
+    return np.einsum("...ik,...kj->...ij", np.ascontiguousarray(a), b)[..., :n]
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

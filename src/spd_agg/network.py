@@ -31,7 +31,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -277,18 +277,9 @@ class MetricsRecord:
     wall_ms: float
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "stage": self.stage,
-                "mean_train_loss": self.mean_train_loss,
-                "train_accuracy": self.train_accuracy,
-                "test_accuracy": self.test_accuracy,
-                "lr": self.lr,
-                "stiefel_orthogonality_error": self.stiefel_orthogonality_error,
-            },
-            allow_nan=False,
-        )
+        record = asdict(self)
+        del record["wall_ms"]
+        return json.dumps(record, allow_nan=False)
 
 
 def _assert_finite(name: str, arr) -> None:
@@ -561,9 +552,7 @@ class _Workers:
         takes another; after every thread has stopped, the error of the
         first item in order to raise is raised here."""
         threads = min(WORKERS, len(items) // 2)
-        if threads < 2:
-            return [fn(item) for item in items]
-        if self._pool is None:
+        if threads > 1 and self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(WORKERS - 1)
@@ -894,14 +883,7 @@ class GradCheckReport:
         return all(self.block_pass.values())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tolerance": self.tolerance,
-                "max_rel_err": self.max_rel_err,
-                "block_pass": self.block_pass,
-                "all_passed": self.all_passed,
-            }
-        )
+        return json.dumps({**asdict(self), "all_passed": self.all_passed})
 
 
 #: Central-difference step for all gradient checks.

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
+import spd_agg.cli as cli
 from spd_agg.cli import _FIELD_TYPES, _JSON_TYPES, main, parse_config
 from spd_agg import (
     PipelineConfig,
@@ -217,6 +219,40 @@ class TestTrainEval:
                                     "--ckpt", str(tmp_path / "no.ftsp")])
         assert code == 1
         assert "error:" in err
+
+
+class TestParserBuiltOnce:
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            assert run(capsys, ["gradcheck", "--tol", "nan"])[0] == 1
+        # the top-level parser and one per subcommand, once
+        assert built.count("spd-agg") == 1 and len(built) == 6
+
+    def test_seed_flag_does_not_outlive_its_call(self, small_run, tmp_path, monkeypatch, capsys):
+        data, _ = small_run
+        config = tmp_path / "seed5.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "seed": 5}))
+        seeds = []
+        true_train = cli.train
+
+        def recording_train(dataset, pipeline, tc, test_dataset=None):
+            seeds.append(tc.seed)
+            return true_train(dataset, pipeline, tc, test_dataset=test_dataset)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        for flag in (["--seed", "3"], []):
+            argv = ["train", "--data", str(data), "--config", str(config), *flag]
+            assert run(capsys, argv)[0] == 0
+        assert seeds == [3, 5]
 
 
 def _doctored_checkpoint(path, corrupt):

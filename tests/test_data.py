@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 import zlib
@@ -13,6 +14,7 @@ from spd_agg import (
     FtsDataset,
     FtsParseError,
     MixParams,
+    NonFiniteError,
     Params,
     PipelineConfig,
     ShapeMismatchError,
@@ -112,6 +114,58 @@ class TestFtsRoundTrip:
         ds = FtsDataset(samples=samples, labels=np.zeros(4, dtype=int), num_classes=2)
         with pytest.raises(ValueError, match="num_classes"):
             fts_write(ds, tmp_path / "bad.fts")
+
+
+def fts_bytes(labels, payload, c=1, h=1, w=1, num_classes=None) -> bytes:
+    """A hand-built FTS1 file; ``num_classes`` defaults to 1 + max(labels)."""
+    num_classes = max(labels) + 1 if num_classes is None else num_classes
+    return (
+        struct.pack("<4sIIIIII", b"FTS1", 1, len(labels), c, h, w, num_classes)
+        + struct.pack(f"<{len(labels)}I", *labels)
+        + struct.pack(f"<{len(payload)}f", *payload)
+    )
+
+
+class TestFtsRefusals:
+    """Headers and payloads that no writer produces, refused with the
+    offset of the offending bytes."""
+
+    @pytest.mark.parametrize("field, offset", [("n", 8), ("c", 12), ("h", 16), ("w", 20)])
+    def test_zero_count_names_its_offset(self, tmp_path, field, offset):
+        dims = {"n": 1, "c": 1, "h": 1, "w": 1, field: 0}
+        labels = [0] * dims.pop("n")
+        payload = [0.5] * (len(labels) * math.prod(dims.values()))
+        path = tmp_path / "zero.fts"
+        path.write_bytes(fts_bytes(labels, payload, num_classes=1, **dims))
+        with pytest.raises(FtsParseError, match=r"must (contain|be >= 1)") as info:
+            fts_read(path)
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sample, entry", [(0, 0), (1, 3), (2, 2)])
+    def test_non_finite_payload_names_its_sample(self, tmp_path, value, sample, entry):
+        # three samples of 1 x 2 x 2 maps; one entry of one sample is bad
+        payload = np.arange(12, dtype=np.float64) / 8.0
+        payload[4 * sample + entry] = value
+        path = tmp_path / "nan.fts"
+        path.write_bytes(fts_bytes([0, 1, 1], payload.tolist(), h=2, w=2))
+        with pytest.raises(FtsParseError, match=f"sample {sample} contains non-finite") as info:
+            fts_read(path)
+        assert info.value.offset == 28 + 4 * 3 + 4 * 4 * sample
+
+    def test_write_refuses_empty_set(self, tmp_path):
+        empty = FtsDataset(samples=np.empty((0, 2, 1, 1)), labels=[], num_classes=1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            fts_write(empty, tmp_path / "empty.fts")
+        assert not (tmp_path / "empty.fts").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_write_refuses_non_finite_payload(self, tmp_path, value):
+        ds = random_dataset(seeded_rng(7))
+        ds.samples[1, 2, 0, 1] = value
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            fts_write(ds, tmp_path / "bad.fts")
+        assert not (tmp_path / "bad.fts").exists()
 
 
 class TestSynthGenerate:

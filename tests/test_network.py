@@ -298,6 +298,19 @@ class TestTrain:
         params, _ = train(ds, pipe, tc)
         assert np.array_equal(params.transform.w, init_params(pipe, seeded_rng(7)).transform.w)
 
+    def test_plateau_divides_the_rate_and_each_stage_starts_over(self):
+        # At a rate of 1e-9 no epoch improves the loss by MIN_LOSS_DELTA:
+        # the first epoch of a stage sets its best loss, and each run of
+        # PLATEAU_PATIENCE epochs after it divides the rate by DECAY_FACTOR.
+        assert network_mod.PLATEAU_PATIENCE == 3
+        base = 1e-9
+        tc = TrainConfig(lr_stage1=base, lr_stage2=base, epochs_per_stage=9, seed=5, batch_size=8)
+        pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+        _, history = train(tiny_dataset(), pipe, tc)
+        decays = [0, 0, 0, 0, 1, 1, 1, 2, 2]
+        assert [r.stage for r in history] == [1] * 9 + [2] * 9
+        assert [r.lr for r in history] == [base / network_mod.DECAY_FACTOR**k for k in decays * 2]
+
     @pytest.mark.parametrize("freeze", [False, True])
     def test_one_tangent_projection_per_minibatch(self, monkeypatch, freeze):
         # 16 samples in batches of 5: 4 minibatches in each of 4 epochs,
