@@ -71,17 +71,12 @@ class FtsDataset:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        self.labels = integer_labels(self.labels)
+        self.labels = integer_labels(self.labels, self.num_classes)
         if self.samples.ndim != 4:
             raise ShapeMismatchError(f"samples must be (n, C, H, W), got {self.samples.shape}")
         if self.labels.shape != (self.samples.shape[0],):
             raise ShapeMismatchError(
                 f"{self.samples.shape[0]} samples but {self.labels.shape} labels"
-            )
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError(
-                f"labels must lie in [0, {self.num_classes}), got "
-                f"[{self.labels.min()}, {self.labels.max()}]"
             )
 
     @property

@@ -42,11 +42,12 @@ _SQRT2 = np.sqrt(2.0)
 
 @functools.lru_cache(maxsize=None)
 def _triu(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major upper-triangle indices of a c x c matrix and the slot
-    scale (1 on the diagonal, sqrt(2) off it), read-only as every caller
+    """The slot table of a c x c matrix: the flat row-major indices of its
+    upper triangle, the flat indices of their mirror images, and the slot
+    scale (1 on the diagonal, sqrt(2) off it); read-only as every caller
     shares them."""
     rows, cols = np.triu_indices(c)
-    out = rows, cols, np.where(rows == cols, 1.0, _SQRT2)
+    out = rows * c + cols, cols * c + rows, np.where(rows == cols, 1.0, _SQRT2)
     for a in out:
         a.flags.writeable = False
     return out
@@ -72,28 +73,30 @@ def vectorize(y: np.ndarray) -> np.ndarray:
         if asym > 1e-10:
             raise ValueError(f"vectorize input is not symmetric: ||y - y^T||_F = {asym:.3e}")
     c = y.shape[-1]
-    rows, cols, scale = _triu(c)
+    index, _, scale = _triu(c)
     # np.take keeps each vector of a stack contiguous: the l2 step's
     # stacked inner products take the BLAS dot only on contiguous vectors.
-    return np.take(y.reshape(y.shape[:-2] + (c * c,)), rows * c + cols, axis=-1) * scale
+    return np.take(y.reshape(y.shape[:-2] + (c * c,)), index, axis=-1) * scale
 
 
 def vectorize_backward(grad_v: np.ndarray, c_prime: int) -> np.ndarray:
     """Exact adjoint of :func:`vectorize`: a symmetric matrix whose
-    off-diagonal pair slots each receive grad / sqrt(2)."""
+    off-diagonal pair slots each receive grad / sqrt(2), written into both
+    triangles."""
     grad_v = np.asarray(grad_v, dtype=np.float64)
     want = c_prime * (c_prime + 1) // 2
     if grad_v.ndim < 1 or grad_v.shape[-1] != want:
         raise ShapeMismatchError(
             f"gradient length {grad_v.shape} does not match upper-triangle size ({want},)"
         )
-    rows, cols, _ = _triu(c_prime)
-    upper = np.zeros(grad_v.shape[:-1] + (c_prime, c_prime))
-    upper[..., rows, cols] = np.where(rows == cols, grad_v, grad_v / _SQRT2)
-    lower = upper.swapaxes(-1, -2).copy()
-    diag = np.arange(c_prime)
-    lower[..., diag, diag] = 0.0
-    return upper + lower
+    index, mirror, scale = _triu(c_prime)
+    # + 0.0 turns a -0.0 slot into +0.0: the bits of the upper triangle
+    # plus its mirror image with a zeroed diagonal.
+    slots = grad_v / scale + 0.0
+    out = np.empty(grad_v.shape[:-1] + (c_prime * c_prime,))
+    out[..., index] = slots
+    out[..., mirror] = slots
+    return out.reshape(grad_v.shape[:-1] + (c_prime, c_prime))
 
 
 def power_normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,10 +160,11 @@ def l2_normalize_backward(tape: L2Tape, grad_out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DenseParams:
-    """Fully connected classifier parameters."""
+    """Affine layer parameters: the dense classifier, and the 1x1 channel
+    mixer, which is a dense layer at every spatial position."""
 
-    weights: np.ndarray  # (num_classes, head_dim)
-    bias: np.ndarray  # (num_classes,)
+    weights: np.ndarray  # (outputs, inputs)
+    bias: np.ndarray  # (outputs,)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)

@@ -51,6 +51,7 @@ from .head import (
 )
 from .kernel import (
     KernelTape,
+    as_feature_matrix,
     covariance_backward,
     covariance_forward,
     kernel_backward,
@@ -173,20 +174,9 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1, epochs >= 0")
 
 
-@dataclass
-class MixParams:
-    """1x1 convolution = per-position channel mixing."""
-
-    weights: np.ndarray  # (mixed_channels, in_channels)
-    bias: np.ndarray  # (mixed_channels,)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ShapeMismatchError(
-                f"mixer shapes inconsistent: weights {self.weights.shape}, bias {self.bias.shape}"
-            )
+#: The 1x1 channel mixer's parameters: a 1x1 convolution is a dense layer
+#: at every spatial position.
+MixParams = DenseParams
 
 
 def param_shapes(config: PipelineConfig) -> dict[str, tuple[int, ...]]:
@@ -329,16 +319,15 @@ def mix_forward(x, params: MixParams) -> tuple[np.ndarray, MixTape]:
         raise ShapeMismatchError(
             f"mixer input must be (C, H, W) or (B, C, H, W), got shape {x.shape}"
         )
-    c0, h, w = x.shape[-3:]
-    if c0 != params.weights.shape[1]:
+    if x.shape[-3] != params.weights.shape[1]:
         raise ShapeMismatchError(
-            f"input has {c0} channels but mixer expects {params.weights.shape[1]}"
+            f"input has {x.shape[-3]} channels but mixer expects {params.weights.shape[1]}"
         )
-    m0 = x.reshape(x.shape[:-2] + (h * w,))
+    m0 = as_feature_matrix(x)
     pre = matmul(params.weights, m0) + params.bias[:, None]
     out = np.maximum(pre, 0.0)
     tape = MixTape(m0=m0, pre=pre, weights=params.weights)
-    return out.reshape(pre.shape[:-1] + (h, w)), tape
+    return out.reshape(pre.shape[:-1] + x.shape[-2:]), tape
 
 
 def mix_backward(
@@ -605,31 +594,38 @@ def _located(run, ids, n: int, where: str):
         raise
 
 
-def integer_labels(labels) -> np.ndarray:
-    """``labels`` as an int64 array.  A label that is not a whole number
-    (0.7, NaN, infinity, or beyond int64) is refused with ``ValueError``
-    naming it, where a cast would truncate it silently."""
+def integer_labels(labels, num_classes: int) -> np.ndarray:
+    """``labels``, one per sample, as an int64 array.  Labels that are not
+    1-D are refused with ``ShapeMismatchError``; a label that is not a
+    whole number (0.7, NaN, infinity, or beyond int64), where a cast would
+    truncate it silently, or that lies outside ``[0, num_classes)``, with
+    ``ValueError`` naming it."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeMismatchError(f"labels must be one per sample (1-D), got shape {labels.shape}")
     with np.errstate(invalid="ignore"):
         ints = labels.astype(np.int64)
     if labels.dtype.kind not in "biu":
         bad = np.flatnonzero(ints != labels)
         if bad.size:
-            label = labels.reshape(-1)[bad[0]].item()
+            label = labels[bad[0]].item()
             raise ValueError(f"label {label!r} at position {bad[0]} is not an integer")
+    if ints.size and (ints.min() < 0 or ints.max() >= num_classes):
+        raise ValueError(
+            f"labels must lie in [0, {num_classes}), got range [{ints.min()}, {ints.max()}]"
+        )
     return ints
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    """Refuse an empty set, a label that is not an integer, or a label
-    outside ``[0, num_classes)``."""
-    if len(labels) == 0:
+def _check_labels(labels, num_classes: int, n: int) -> np.ndarray:
+    """The labels of a set of ``n`` samples through :func:`integer_labels`;
+    a label count other than ``n``, or an empty set, is refused."""
+    labels = integer_labels(labels, num_classes)
+    if len(labels) != n:
+        raise ValueError(f"got {len(labels)} labels for {n} samples")
+    if n == 0:
         raise ValueError("dataset is empty")
-    integer_labels(labels)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(
-            f"labels must lie in [0, {num_classes}), got range [{labels.min()}, {labels.max()}]"
-        )
+    return labels
 
 
 def _accuracy(classes, labels: np.ndarray, step: int, where: str, workers: _Workers) -> float:
@@ -647,17 +643,14 @@ def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -
     predicted in slices of stacked samples on up to :data:`WORKERS`
     threads and counted in dataset order.  A non-finite value names the
     first sample, in dataset order, that fails on its own, and the
-    layer.  Samples that are not 4-D are refused with
-    ``ShapeMismatchError``; an empty set, a label count other than the
-    sample count, or a label outside ``[0, num_classes)`` with
-    ``ValueError``."""
+    layer.  Samples that are not 4-D, or labels that are not 1-D, are
+    refused with ``ShapeMismatchError``; an empty set, a label count other
+    than the sample count, or a label that :func:`integer_labels` refuses,
+    with ``ValueError``."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 4:
         raise ShapeMismatchError(f"samples must be (n, C, H, W), got shape {samples.shape}")
-    labels = np.asarray(labels)
-    if len(labels) != len(samples):
-        raise ValueError(f"got {len(labels)} labels for {len(samples)} samples")
-    _check_labels(labels, config.num_classes)
+    labels = _check_labels(labels, config.num_classes, len(samples))
     step = _slice_size(config, samples.shape[-2] * samples.shape[-1])
     with _Workers() as workers:
         return _accuracy(
@@ -732,7 +725,7 @@ def train(
     """
     sets = [dataset] if test_dataset is None else [dataset, test_dataset]
     for ds in sets:
-        _check_labels(ds.labels, pipeline.num_classes)
+        _check_labels(ds.labels, pipeline.num_classes, len(ds))
     labels = dataset.labels
     n = len(labels)
     names = ("sample", "held-out sample")
@@ -799,12 +792,12 @@ def train(
                 correct = 0
                 max_orth = params.transform.orthogonality_error()
 
-                for batch_no, start in enumerate(range(0, n, tc.batch_size), 1):
-                    batch = order[start : start + tc.batch_size]
+                for batch_no, span in enumerate(_slices(n, tc.batch_size), 1):
+                    batch = order[span]
                     # Parameters are fixed within a minibatch, so its slices
                     # of stacked samples run at once; their losses, counts and
                     # blocks are reduced here, in sample order.
-                    parts = [batch[s : s + step] for s in range(0, len(batch), step)]
+                    parts = [batch[s] for s in _slices(len(batch), step)]
                     total: dict[str, np.ndarray] = {}
                     for ids, (loss, pred, grads) in zip(parts, workers.map(train_slice, parts)):
                         losses.extend(loss.tolist())

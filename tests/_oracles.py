@@ -84,6 +84,18 @@ def kernel_backward_formula(m, k, sigma, grad_k):
     return out
 
 
+def vectorize_backward_formula(grad_v, c):
+    """The upper triangle of grad (over sqrt(2) off the diagonal), plus a
+    transposed copy of it whose diagonal is zeroed."""
+    rows, cols = np.triu_indices(c)
+    upper = np.zeros(grad_v.shape[:-1] + (c, c))
+    upper[..., rows, cols] = np.where(rows == cols, grad_v, grad_v / np.sqrt(2.0))
+    lower = upper.swapaxes(-1, -2).copy()
+    diag = np.arange(c)
+    lower[..., diag, diag] = 0.0
+    return upper + lower
+
+
 def transform_param_grad_formula(t, g):
     """2 T^T G, with T^T copied to C order."""
     return 2.0 * matmul(t.swapaxes(-1, -2), g)

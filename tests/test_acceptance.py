@@ -328,11 +328,12 @@ def _replay_in_child(golden_files, tag, env=None, prelude=""):
     """Replay every golden run in one fresh process, with ``env`` added
     to its environment and the Python statements ``prelude`` run before
     the program is imported.  Returns the child's ``network.WORKERS`` and
-    the names of the runs whose files differ from the golden ones."""
+    the names of the runs whose files differ from the golden ones.  Every
+    warning in the child is an error, as in the in-process tests."""
     root, files = golden_files
     outs = {name: root / f"{name}.{tag}" for name in files}
     src = str(Path(spd_agg.__file__).resolve().parents[1])
-    env = {**os.environ, **(env or {})}
+    env = {**os.environ, "PYTHONWARNINGS": "error", **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c",

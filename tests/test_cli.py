@@ -18,7 +18,10 @@ from spd_agg.cli import _FIELD_TYPES, _JSON_TYPES, main, parse_config
 from spd_agg import (
     PipelineConfig,
     TrainConfig,
+    evaluate_accuracy,
+    fts_read,
     init_params,
+    load_checkpoint,
     save_checkpoint,
     seeded_rng,
 )
@@ -219,6 +222,62 @@ class TestTrainEval:
                                     "--ckpt", str(tmp_path / "no.ftsp")])
         assert code == 1
         assert "error:" in err
+
+
+class TestLabelRule:
+    """A file's labels are checked against the config's class count: a file
+    may lack the highest class, and a label at or beyond the count is
+    refused with one error line."""
+
+    def synth(self, capsys, path, classes):
+        code, _, _ = run(
+            capsys,
+            ["synth", "--classes", str(classes), "--per-class", "6", "--channels", "6",
+             "--spatial", "3", "--seed", "1", "--out", str(path)],
+        )
+        assert code == 0
+        return str(path)
+
+    def config(self, tmp_path, classes):
+        path = tmp_path / f"config{classes}.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "num_classes": classes}))
+        return str(path)
+
+    def test_file_without_the_top_class_is_scored(self, tmp_path, capsys):
+        three = self.synth(capsys, tmp_path / "three.fts", 3)
+        two = self.synth(capsys, tmp_path / "two.fts", 2)
+        ckpt = tmp_path / "model.ftsp"
+        code, out, err = run(
+            capsys,
+            ["train", "--data", three, "--test", two, "--config", self.config(tmp_path, 3),
+             "--out-ckpt", str(ckpt)],
+        )
+        assert code == 0, err
+        assert 0.0 <= json.loads(out)["final_test_accuracy"] <= 1.0
+        code, out, err = run(capsys, ["eval", "--data", two, "--ckpt", str(ckpt)])
+        assert code == 0, err
+        ds = fts_read(two)
+        assert json.loads(out) == {
+            "accuracy": evaluate_accuracy(ds.samples, ds.labels, *load_checkpoint(ckpt)),
+            "samples": 12,
+        }
+
+    @pytest.mark.parametrize("where", ["train", "test", "eval"])
+    def test_label_beyond_the_config_exits_1(self, tmp_path, capsys, where):
+        three = self.synth(capsys, tmp_path / "three.fts", 3)
+        two = self.synth(capsys, tmp_path / "two.fts", 2)
+        config = self.config(tmp_path, 2)
+        if where == "eval":
+            ckpt = str(tmp_path / "model.ftsp")
+            argv = ["train", "--data", two, "--config", config, "--out-ckpt", ckpt]
+            assert run(capsys, argv)[0] == 0
+            argv = ["eval", "--data", three, "--ckpt", ckpt]
+        else:
+            data, test = (three, two) if where == "train" else (two, three)
+            argv = ["train", "--data", data, "--test", test, "--config", config]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "error: labels must lie in [0, 2), got range [0, 2]\n"
 
 
 class TestParserBuiltOnce:
@@ -435,14 +494,15 @@ class TestRefusedFlags:
 
 
 class TestModuleEntry:
-    """``python3 -m spd_agg.cli`` runs the CLI, exit code included."""
+    """``python3 -m spd_agg.cli`` runs the CLI, exit code included, with
+    every warning an error."""
 
     def run_module(self, *argv):
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "spd_agg.cli", *argv],
             capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"},
         )
 
     def test_gradcheck_prints_report(self):

@@ -443,6 +443,10 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
             FtsDataset(samples=np.zeros((2, 1, 1, 1)), labels=labels, num_classes=2)
 
+    def test_column_of_labels_refused_by_shape(self):
+        with pytest.raises(ShapeMismatchError, match=r"got shape \(2, 1\)$"):
+            FtsDataset(samples=np.zeros((2, 1, 1, 1)), labels=[[0], [1]], num_classes=2)
+
     def test_whole_float_labels_stored_as_integers(self):
         ds = FtsDataset(samples=np.zeros((2, 1, 1, 1)), labels=[1.0, 0.0], num_classes=2)
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against this checkout's ``src/``."""
+"""Every demo script runs to completion against this checkout's ``src/``,
+with every warning an error, as in the in-process tests."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo):
     run = subprocess.run(
         [sys.executable, str(demo)],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"},
         capture_output=True,
         text=True,
         timeout=300,

@@ -17,7 +17,7 @@ from spd_agg import (
     vectorize,
     vectorize_backward,
 )
-from spd_agg.head import L2_FLOOR
+from spd_agg.head import L2_FLOOR, _triu
 from _oracles import (
     ADJOINT_RTOL,
     adjoint_gap,
@@ -25,6 +25,7 @@ from _oracles import (
     dense_input_grad_formula,
     random_symmetric,
     rel_err,
+    vectorize_backward_formula,
 )
 
 
@@ -85,6 +86,48 @@ class TestVectorizeBackward:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             vectorize_backward(np.zeros(5), 3)
+
+
+class TestVectorizeBackwardBits:
+    """The adjoint writes each slot once into both triangles, with the bits
+    of the earlier upper-plus-mirrored-lower form."""
+
+    @pytest.mark.parametrize(
+        "shape, c", [((32, 36), 8), ((2, 3, 36), 8), ((8, 528), 32), ((36,), 8), ((528,), 32)]
+    )
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "specials"])
+    def test_bits_match_formula(self, shape, c, special):
+        rng = seeded_rng(c + len(shape))
+        grad = rng.standard_normal(shape)
+        if special:
+            # Every slot kind, on and off the diagonal: about half the slots.
+            values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+            hit = rng.random(shape) < 0.5
+            grad[hit] = values[rng.integers(0, len(values), hit.sum())]
+        before = grad.copy()
+        got = vectorize_backward(grad, c)
+        want = vectorize_backward_formula(grad, c)
+        assert got.shape == want.shape == shape[:-1] + (c, c)
+        assert got.tobytes() == want.tobytes()
+        assert grad.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    def test_slot_table(self, c):
+        index, mirror, scale = _triu(c)
+        rows, cols = np.triu_indices(c)
+        assert np.array_equal(index, rows * c + cols)
+        assert np.array_equal(mirror, cols * c + rows)
+        assert np.array_equal(scale, np.where(rows == cols, 1.0, np.sqrt(2.0)))
+        for a in (index, mirror, scale):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_vectorize_leaves_its_input(self):
+        y = random_symmetric(seeded_rng(4), 6)
+        before = y.copy()
+        vectorize(y)
+        assert y.tobytes() == before.tobytes()
 
 
 class TestPowerNormalize:

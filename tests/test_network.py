@@ -789,6 +789,18 @@ class TestEvaluateAccuracy:
         with pytest.raises(ShapeMismatchError, match=message):
             evaluate_accuracy(samples, np.zeros(shape[0], dtype=int), params, pipe)
 
+    @pytest.mark.parametrize(
+        "labels", [np.zeros((8, 1), dtype=int), np.array(0)], ids=["8x1", "0d"]
+    )
+    def test_labels_must_be_one_per_sample(self, labels):
+        # (8, 1) labels used to broadcast against the 8 predictions, so the
+        # count could exceed the sample count; 0-d labels had no length.
+        params = init_params(SMALL, seeded_rng(0))
+        samples = seeded_rng(1).standard_normal((labels.size, 6, 3, 3))
+        message = re.escape(f"labels must be one per sample (1-D), got shape {labels.shape}")
+        with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
+            evaluate_accuracy(samples, labels, params, SMALL)
+
 
 class TestConfigValidation:
     def test_transform_dim_capped_by_channels(self):

@@ -1,0 +1,175 @@
+"""Public refusals that no other test runs in-process: each call is refused
+with the exception type and message it names."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from spd_agg import (
+    DenseParams,
+    FtsDataset,
+    MixParams,
+    NonFiniteError,
+    PipelineConfig,
+    ShapeMismatchError,
+    StiefelPoint,
+    TrainConfig,
+    covariance_backward,
+    covariance_forward,
+    dense_logits,
+    forward,
+    fts_write,
+    init_params,
+    matmul,
+    mix_backward,
+    mix_forward,
+    qr_reduced,
+    retract_step,
+    seeded_rng,
+    split_by_class,
+    stiefel_init,
+    sym_eigvals,
+    synth_generate,
+    tangent_project,
+    vectorize,
+)
+from spd_agg.cli import main
+from spd_agg.kernel import as_feature_matrix
+
+MIXED = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+UNMIXED = PipelineConfig(in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2)
+
+
+def _point():
+    return stiefel_init(4, 2, seeded_rng(0))
+
+
+def _mix_tape():
+    params = init_params(MIXED, seeded_rng(0))
+    return mix_forward(np.zeros((6, 3, 3)), params.mix)[1]
+
+
+CASES = {
+    "stiefel-point-wide": (
+        lambda: StiefelPoint(np.zeros((2, 3))),
+        ShapeMismatchError, "needs rows >= cols >= 1, got shape (2, 3)",
+    ),
+    "tangent-project-grad": (
+        lambda: tangent_project(_point(), np.zeros((4, 3))),
+        ShapeMismatchError, "gradient shape (4, 3) does not match point shape (4, 2)",
+    ),
+    "retract-step-grad": (
+        lambda: retract_step(_point(), np.zeros((3, 2)), 0.1),
+        ShapeMismatchError, "gradient shape (3, 2) does not match point shape (4, 2)",
+    ),
+    "vectorize-non-square": (
+        lambda: vectorize(np.zeros((2, 3))),
+        ShapeMismatchError, "vectorize input must be square, got shape (2, 3)",
+    ),
+    "dense-params-bias": (
+        lambda: DenseParams(np.zeros((2, 3)), np.zeros(3)),
+        ShapeMismatchError, "shapes inconsistent: weights (2, 3), bias (3,)",
+    ),
+    "mix-params-bias": (
+        lambda: MixParams(np.zeros((5, 6)), np.zeros(6)),
+        ShapeMismatchError, "shapes inconsistent: weights (5, 6), bias (6,)",
+    ),
+    "dense-logits-length": (
+        lambda: dense_logits(np.zeros(5), DenseParams(np.zeros((2, 3)), np.zeros(2))),
+        ShapeMismatchError, "input length (5,) does not match weight columns (3,)",
+    ),
+    "feature-matrix-1d": (
+        lambda: as_feature_matrix(np.zeros(4)),
+        ShapeMismatchError, "got shape (4,)",
+    ),
+    "covariance-nan": (
+        lambda: covariance_forward(np.array([[0.0, np.nan], [1.0, 2.0]])),
+        NonFiniteError, "covariance input contains non-finite values",
+    ),
+    "covariance-backward-grad": (
+        lambda: covariance_backward(np.zeros((3, 4)), np.zeros((2, 2))),
+        ShapeMismatchError, "gradient shape (2, 2) does not match covariance shape (3, 3)",
+    ),
+    "qr-1d": (
+        lambda: qr_reduced(np.zeros(3)),
+        ShapeMismatchError, "qr input must be 2-D, got shape (3,)",
+    ),
+    "matmul-1d": (
+        lambda: matmul(np.zeros(3), np.zeros((3, 2))),
+        ShapeMismatchError, "operands must be at least 2-D, got (3,) and (3, 2)",
+    ),
+    "eigvals-non-square": (
+        lambda: sym_eigvals(np.zeros((2, 3))),
+        ShapeMismatchError, "eigvals input must be square, got (2, 3)",
+    ),
+    "negative-mixed-channels": (
+        lambda: PipelineConfig(in_channels=6, mixed_channels=-1, transform_dim=3, num_classes=2),
+        ValueError, "mixed_channels must be >= 0",
+    ),
+    "batch-size-0": (
+        lambda: TrainConfig(batch_size=0),
+        ValueError, "batch size must be >= 1",
+    ),
+    "mix-forward-2d": (
+        lambda: mix_forward(np.zeros((6, 9)), init_params(MIXED, seeded_rng(0)).mix),
+        ShapeMismatchError, "mixer input must be (C, H, W) or (B, C, H, W), got shape (6, 9)",
+    ),
+    "mix-backward-grad": (
+        lambda: mix_backward(_mix_tape(), np.zeros((5, 8))),
+        ShapeMismatchError, "upstream gradient shape (5, 8) does not match (5, 9)",
+    ),
+    "forward-2d": (
+        lambda: forward(np.zeros((6, 9)), 0, init_params(MIXED, seeded_rng(0)), MIXED),
+        ShapeMismatchError, "input must be (C, H, W) or (B, C, H, W), got shape (6, 9)",
+    ),
+    "forward-channels-without-mixer": (
+        lambda: forward(np.zeros((5, 3, 3)), 0, init_params(UNMIXED, seeded_rng(0)), UNMIXED),
+        ShapeMismatchError, "input has 5 channels, config expects 6",
+    ),
+    "fts-write-zero-dimension": (
+        lambda: fts_write(FtsDataset(np.zeros((2, 1, 0, 3)), [0, 1], 2), "unwritten.fts"),
+        ValueError, "counts must be >= 1, got shape (1, 0, 3)",
+    ),
+    "synth-per-class-0": (
+        lambda: synth_generate(num_classes=2, per_class=0, c0=3, h=2, w=2, seed=0),
+        ValueError, "per_class and tensor dimensions must be >= 1",
+    ),
+    "split-empty-side": (
+        lambda: split_by_class(synth_generate(2, 2, 3, 2, 2, seed=0), train_per_class=2),
+        ValueError, "split leaves an empty side",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", CASES.values(), ids=CASES.keys())
+def test_refused(tmp_path, monkeypatch, call, error, fragment):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error, match=re.escape(fragment)) as refused:
+        call()
+    assert type(refused.value) is error
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_refusals(tmp_path, monkeypatch, capsys):
+    """A config file holding a JSON list, ``gradcheck --config`` past the
+    parameter cap, and ``train`` on the default config without
+    ``--config``: each exits 1 with one error line."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--classes", "2", "--per-class", "2", "--channels", "6",
+                 "--spatial", "3", "--seed", "0", "--out", "six.fts"]) == 0
+    json_list = tmp_path / "list.json"
+    json_list.write_text("[1, 2]")
+    large = tmp_path / "large.json"
+    large.write_text(json.dumps({"in_channels": 64, "mixed_channels": 64, "transform_dim": 32}))
+    capsys.readouterr()
+    for argv, message in [
+        (["train", "--data", "six.fts", "--config", str(json_list)],
+         "config file must hold one JSON object"),
+        (["gradcheck", "--config", str(large)],
+         "configuration has 7266 parameters; the finite-difference check is capped at 5000"),
+        (["train", "--data", "six.fts"], "train dataset has 6 channels, config expects 16"),
+    ]:
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
