@@ -36,10 +36,6 @@ __all__ = [
 #: Lower bound on the bandwidth; hit only when all maps coincide.
 SIGMA_FLOOR = 1e-12
 
-#: Float64 values (512 KiB) the map differences of one row block of
-#: :func:`kernel_backward` hold: the rows of a block, over the whole stack.
-BACKWARD_VALUES = 65_536
-
 
 @dataclass(frozen=True)
 class KernelTape:
@@ -161,16 +157,18 @@ def kernel_backward(tape: KernelTape, grad_k: np.ndarray) -> np.ndarray:
 
     With G the upstream gradient and the bandwidth held constant,
 
-        dL/df_i = sum_j (G_ij + G_ji) * K_ij * (f_j - f_i) / sigma^2.
+        dL/df_i = sum_j C_ij (f_j - f_i),  C = (G + G^T) * K / sigma^2,
 
-    The sum is ``np.einsum("...ij,...ijn->...in", coeff, f_j - f_i)``,
-    which iterates j outside n and adds the terms over j in order from
-    zeros, as :func:`~spd_agg.linalg.matmul` adds over its inner index;
-    a stack gives each sample its own bits.  It runs in blocks of rows i
-    whose differences f_j - f_i hold at most :data:`BACKWARD_VALUES`
-    values (at least one row), so the largest temporary grows with C x N
-    per sample, not C x C x N.  Coincident maps yield exact zeros.
-    Returns dL/dM with the shape of ``tape.m``.
+    which the Gram identity turns into dL/dM = C M - (sum_j C_ij) * M:
+    one :func:`~spd_agg.linalg.matmul` and one sequential ``np.cumsum``
+    row sum along the contiguous last axis, so a stack gives each sample
+    its own bits.  C_ij is zeroed where K_ij == 1, that is where the
+    forward found the maps coincident (a squared distance of 0, or below
+    about 1e-16 of 2 sigma^2): those terms are exact zeros in the
+    difference form, and with all maps coincident sigma sits at
+    ``SIGMA_FLOOR``, where the unmasked C M and rowsum * M would cancel
+    only up to rounding of about 1e24 G.  Returns dL/dM with the shape
+    of ``tape.m``.
     """
     grad_k = np.asarray(grad_k, dtype=np.float64)
     if grad_k.shape != tape.k.shape:
@@ -180,17 +178,9 @@ def kernel_backward(tape: KernelTape, grad_k: np.ndarray) -> np.ndarray:
     coeff = grad_k + grad_k.swapaxes(-1, -2)
     coeff *= tape.k
     coeff /= np.asarray(tape.sigma * tape.sigma)[..., None, None]
-    m = tape.m
-    out = np.empty_like(m)
-    rows = max(1, BACKWARD_VALUES // m.size)
-    for start in range(0, m.shape[-2], rows):
-        block = slice(start, start + rows)
-        np.einsum(
-            "...ij,...ijn->...in",
-            coeff[..., block, :],
-            m[..., None, :, :] - m[..., block, None, :],
-            out=out[..., block, :],
-        )
+    coeff[tape.k == 1.0] = 0.0
+    out = matmul(coeff, tape.m)
+    out -= np.cumsum(coeff, axis=-1)[..., -1:] * tape.m
     return out
 
 

@@ -57,8 +57,10 @@ def kernel_backward_loop(m, k, sigma, grad_k):
     return out
 
 
-# The formulas below are the library's earlier vectorized forms, kept
-# verbatim: the current forms must match them bit for bit.
+# The formulas below are the library's vectorized forms, built from fresh
+# temporaries and kept verbatim: the current forms must match them bit for
+# bit.  ``kernel_backward_formula`` is the earlier difference form of the
+# kernel backward, which the Gram form matches to a stated bound.
 
 
 def kernel_forward_formula(x, sigma=None):
@@ -82,6 +84,14 @@ def kernel_backward_formula(m, k, sigma, grad_k):
     for j in range(m.shape[-2]):
         out += coeff[..., :, j : j + 1] * (m[..., j : j + 1, :] - m)
     return out
+
+
+def kernel_backward_gram_formula(m, k, sigma, grad_k):
+    """C M - (sum_j C_ij) f_i, with C zeroed where K == 1 and the row sums
+    by one sequential np.cumsum."""
+    sq_sigma = np.asarray(sigma * sigma)[..., None, None]
+    coeff = np.where(k == 1.0, 0.0, (grad_k + grad_k.swapaxes(-1, -2)) * k / sq_sigma)
+    return matmul(coeff, m) - np.cumsum(coeff, axis=-1)[..., -1:] * m
 
 
 def vectorize_backward_formula(grad_v, c):

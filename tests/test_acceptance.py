@@ -234,10 +234,9 @@ GOLDEN_RUNS = {
 }
 
 
-@pytest.fixture(scope="module")
-def golden_files(tmp_path_factory):
-    """Train, held-out and config files of every golden run, by name."""
-    root = tmp_path_factory.mktemp("golden")
+def golden_inputs(root) -> dict:
+    """Write the train, held-out and config files of every golden run
+    under ``root``; returns them by name."""
     files = {}
     for name, (data, train_per_class, config) in GOLDEN_RUNS.items():
         train_ds, test_ds = split_by_class(synth_generate(**data), train_per_class)
@@ -245,7 +244,14 @@ def golden_files(tmp_path_factory):
         fts_write(train_ds, files[name][0])
         fts_write(test_ds, files[name][1])
         files[name][2].write_text(json.dumps(config))
-    return root, files
+    return files
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    """Train, held-out and config files of every golden run, by name."""
+    root = tmp_path_factory.mktemp("golden")
+    return root, golden_inputs(root)
 
 
 @pytest.fixture(scope="module")

@@ -343,6 +343,11 @@ def _non_orthonormal_w(blob):
     _floats(blob)[W_AT:DENSE_AT] = 5.0
 
 
+def _w_entry_moved(blob):
+    # ||W^T W - I||_F near 1e-6: above the 1e-8 tolerance, not gross.
+    _floats(blob)[W_AT] += 1e-6
+
+
 def _huge_w_entry(blob):
     # Finite, but its square overflows: refused before W^T W is formed.
     _floats(blob)[W_AT] = 1e300
@@ -374,6 +379,7 @@ class TestCheckpointValidation:
         [
             (_aggregator_code_two, "0 or 1"),
             (_non_orthonormal_w, "orthonormal"),
+            (_w_entry_moved, "orthonormal"),
             (_huge_w_entry, "exceeds 1"),
             (_no_input_channels, "not a valid pipeline"),
             (_transform_dim_above_channels, "not a valid pipeline"),

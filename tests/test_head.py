@@ -153,6 +153,12 @@ class TestPowerNormalize:
         analytic = power_normalize_backward(tape, upstream)
         assert rel_err(analytic, numeric) < 1e-5
 
+    def test_slope_clamped_at_power_eps(self):
+        # Below |v| = POWER_EPS = 1e-8 the slope is the one at 1e-8.
+        _, tape = power_normalize(np.array([0.0, -0.0, 1e-10, -1e-10]))
+        grad = np.array([1.0, 7.0, -3.0, 0.5])
+        assert power_normalize_backward(tape, grad).tolist() == (grad / (2 * 1e-4)).tolist()
+
 
 class TestL2Normalize:
     def test_hand_case(self):
