@@ -6,13 +6,15 @@ FTS1 dataset layout (little-endian throughout)::
     W u32 | num_classes u32 | labels: num_samples x u32 |
     payload: num_samples x C*H*W float32, row-major (C, H, W) per sample
 
-Storage is float32; values are widened to float64 in memory (and
-quantized to float32 representables on generation, so write -> read is
-bit-identical).  Integrity rules beyond raw shape consistency: at least
-one sample, every count >= 1, every label < num_classes, and
-``num_classes == 1 + max(labels)``.  The last rule makes the manifest
-field redundant with the label block, which is what lets single-byte
-header corruption always be detected — there is no checksum.
+Storage is float32, and a dataset stays float32 in memory: :func:`fts_read`
+returns a view of the file's bytes and :func:`synth_generate` fills a
+float32 array, so write -> read is bit-identical.  The pipeline widens
+each slice to float64 as it runs it, which is exact.  Integrity rules
+beyond raw shape consistency: at least one sample, every count >= 1,
+every label < num_classes, and ``num_classes == 1 + max(labels)``.  The
+last rule makes the manifest field redundant with the label block, which
+is what lets single-byte header corruption always be detected — there
+is no checksum.
 
 FTSP checkpoint layout, version 2; the pipeline configuration in the
 header fixes every other byte::
@@ -32,6 +34,7 @@ implies is refused before its payload is read.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -63,14 +66,19 @@ _CRC = struct.Struct("<I")
 
 @dataclass
 class FtsDataset:
-    """In-memory dataset: float64 feature stacks plus integer labels."""
+    """In-memory dataset: feature stacks plus integer labels.
 
-    samples: np.ndarray  # (n, C, H, W) float64
+    Float32 samples are kept as given, without a copy, as FTS1 stores
+    them; samples of any other type become float64.
+    """
+
+    samples: np.ndarray  # (n, C, H, W) float32 or float64
     labels: np.ndarray  # (n,) int64
     num_classes: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        self.samples = samples if samples.dtype == np.float32 else samples.astype(np.float64)
         self.labels = integer_labels(self.labels, self.num_classes)
         if self.samples.ndim != 4:
             raise ShapeMismatchError(f"samples must be (n, C, H, W), got {self.samples.shape}")
@@ -102,23 +110,27 @@ def _validate_manifest(ds: FtsDataset) -> None:
 
 
 def fts_write(dataset: FtsDataset, path) -> None:
-    """Serialize a dataset; the payload is quantized to float32."""
+    """Serialize a dataset; the payload is quantized to float32.  Float32
+    samples are written from their own memory, without a copy."""
     _validate_manifest(dataset)
     n, (c, h, w) = len(dataset), dataset.shape
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, n, c, h, w, dataset.num_classes))
-        f.write(dataset.labels.astype("<u4").tobytes())
-        f.write(dataset.samples.astype("<f4").tobytes())
+        f.write(dataset.labels.astype("<u4"))
+        f.write(np.ascontiguousarray(dataset.samples, dtype="<f4"))
 
 
 def fts_read(path) -> FtsDataset:
     """Parse and validate an FTS1 file.
 
-    Raises :class:`FtsParseError` (with the offending byte offset) on any
-    malformed header, length mismatch, or label/payload violation.
+    The file is read into one writable buffer, and the samples are a
+    float32 view of its payload.  Raises :class:`FtsParseError` (with the
+    offending byte offset) on any malformed header, length mismatch, or
+    label/payload violation.
     """
     with open(path, "rb") as f:
-        buf = f.read()
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf):]
     if len(buf) < _HEADER.size:
         raise FtsParseError(
             f"truncated header: need {_HEADER.size} bytes, file has {len(buf)}", offset=len(buf)
@@ -158,10 +170,9 @@ def fts_read(path) -> FtsDataset:
             f"num_classes must equal 1 + max(labels): {num_classes} vs {int(labels.max()) + 1}",
             offset=24,
         )
-    payload = np.frombuffer(
+    samples = np.frombuffer(
         buf, dtype="<f4", count=n * c * h * w, offset=_HEADER.size + labels_bytes
-    )
-    samples = payload.astype(np.float64).reshape(n, c, h, w)
+    ).reshape(n, c, h, w)
     if not np.isfinite(samples).all():
         i = int(np.nonzero(~np.isfinite(samples.reshape(n, -1)).all(axis=1))[0][0])
         raise FtsParseError(
@@ -191,14 +202,14 @@ def synth_generate(
     for _ in range(num_classes):
         a = rng.standard_normal((c0, c0))
         factors.append(np.linalg.cholesky(matmul(a, a.T) + 0.1 * np.eye(c0)))
-    samples = np.empty((num_classes * per_class, c0, h, w))
+    samples = np.empty((num_classes * per_class, c0, h, w), dtype=np.float32)
     labels = np.empty(num_classes * per_class, dtype=np.int64)
     i = 0
     for k in range(num_classes):
         for _ in range(per_class):
             draws = matmul(factors[k], rng.standard_normal((c0, h * w)))
-            # quantize to float32 representables so disk round-trips are exact
-            samples[i] = draws.reshape(c0, h, w).astype(np.float32).astype(np.float64)
+            # stored as float32, as on disk, so disk round-trips are exact
+            samples[i] = draws.reshape(c0, h, w)
             labels[i] = k
             i += 1
     return FtsDataset(samples=samples, labels=labels, num_classes=num_classes)

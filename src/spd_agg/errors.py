@@ -17,7 +17,25 @@ class SingularMatrixError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A value that must be finite contains NaN or Inf; the message names it."""
+    """A value that must be finite contains NaN or Inf; the message names it.
+
+    ``epoch``, ``sample`` and ``layer`` carry what the message names of
+    where it happened: the training epoch, the sample's index in its set
+    and the checked layer; each is None where the message names none.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        epoch: int | None = None,
+        sample: int | None = None,
+        layer: str | None = None,
+    ):
+        super().__init__(message)
+        self.epoch = epoch
+        self.sample = sample
+        self.layer = layer
 
 
 class FtsParseError(ValueError):

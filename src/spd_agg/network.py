@@ -26,6 +26,7 @@ changes no bit either.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import json
 import math
 import os
@@ -100,10 +101,40 @@ PLATEAU_PATIENCE = 3
 DECAY_FACTOR = 10.0
 
 #: Float64 values (256 KiB) the widest per-sample array of a slice may
-#: hold across the slice: the input maps (C0 x N), the aggregated maps
-#: (C x N) or the aggregated matrix (C x C).  Larger slices stop paying
-#: once a layer's stack leaves the cache, and they raise peak memory.
+#: hold across the slice: the input maps (C0 x N, widened from the stored
+#: samples one slice at a time), the aggregated maps (C x N) or the
+#: aggregated matrix (C x C).  Larger slices stop paying once a layer's
+#: stack leaves the cache, and they raise peak memory.
 SLICE_VALUES = 32_768
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Have glibc serve a slice's arrays from its heap, not fresh pages;
+    returns whether it did.
+
+    glibc maps every block above its mmap threshold (128 KiB at start)
+    from the kernel and unmaps it on free, so each such array faults in
+    its pages anew; it raises the threshold only after freeing a larger
+    mapped block, which a float32 dataset may never make.  A slice's
+    arrays reach :data:`SLICE_VALUES` float64 values (256 KiB), so the
+    threshold is pinned at four of them (1 MiB), and the free heap top
+    kept up to 32 (8 MiB), so that what one slice frees serves the next.
+    Without glibc this sets nothing.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return False
+    if not glibc:
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-3, 4 * SLICE_VALUES * 8)  # M_MMAP_THRESHOLD
+    mallopt(-1, 32 * SLICE_VALUES * 8)  # M_TRIM_THRESHOLD
+    return True
+
+
+_MALLOC_PINNED = _pin_malloc_thresholds()
 
 #: Threads that :class:`_Workers` runs slices on: one per CPU of the
 #: process's affinity mask, or of the machine where there is no such mask.
@@ -274,7 +305,7 @@ class MetricsRecord:
 
 def _assert_finite(name: str, arr) -> None:
     if not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite values first appeared in: {name}")
+        raise NonFiniteError(f"non-finite values first appeared in: {name}", layer=name)
 
 
 def init_params(
@@ -498,7 +529,8 @@ def _slice_size(config: PipelineConfig, positions: int) -> int:
 def _cache_fits(config: PipelineConfig, samples: np.ndarray) -> bool:
     """Whether :func:`train` may cache the aggregated matrices of the
     (n, C0, H, W) ``samples``: only when a C x C matrix holds no more
-    float64 values than the sample it comes from."""
+    values than the sample it comes from.  The matrices are float64, so
+    the cache takes at most twice the bytes of float32 samples."""
     return config.feature_channels**2 <= math.prod(samples.shape[1:])
 
 
@@ -574,12 +606,14 @@ class _Workers:
         return results
 
 
-def _located(run, ids, n: int, where: str):
+def _located(run, ids, n: int, name: str, epoch: int | None):
     """``run(ids)`` for a slice or index array ``ids`` into a set of ``n``
-    samples.  On a non-finite value, each sample of ``ids`` runs again on
-    its own, as a one-sample stack through the same ``run``, and the error
-    is raised as ``non-finite value at <where> i: <layer>`` for the first
-    sample ``i`` that fails.  It runs in the thread that runs the slice;
+    samples, called ``name``.  On a non-finite value, each sample of
+    ``ids`` runs again on its own, as a one-sample stack through the same
+    ``run``, and the error is raised as ``non-finite value at epoch
+    <epoch>, <name> i: <layer>`` (without the epoch where it is None) for
+    the first sample ``i`` that fails, with those three as its
+    attributes.  It runs in the thread that runs the slice;
     :meth:`_Workers.map` raises the error of the earliest slice that
     fails, so the sample named is the first of the set that fails on its
     own."""
@@ -590,7 +624,11 @@ def _located(run, ids, n: int, where: str):
             try:
                 run(slice(i, i + 1))
             except NonFiniteError as e:
-                raise NonFiniteError(f"non-finite value at {where} {i}: {e}") from e
+                where = name if epoch is None else f"epoch {epoch}, {name}"
+                raise NonFiniteError(
+                    f"non-finite value at {where} {i}: {e}",
+                    epoch=epoch, sample=int(i), layer=e.layer,
+                ) from e
         raise
 
 
@@ -628,13 +666,15 @@ def _check_labels(labels, num_classes: int, n: int) -> np.ndarray:
     return labels
 
 
-def _accuracy(classes, labels: np.ndarray, step: int, where: str, workers: _Workers) -> float:
+def _accuracy(
+    classes, labels: np.ndarray, step: int, workers: _Workers, name: str, epoch: int | None
+) -> float:
     """Fraction of ``labels`` matched by ``classes(ids)``, taken over
     slices of ``step`` samples run by ``workers`` and counted in dataset
     order; a non-finite value is located by :func:`_located`."""
     n = len(labels)
     slices = list(_slices(n, step))
-    found = workers.map(lambda ids: _located(classes, ids, n, where), slices)
+    found = workers.map(lambda ids: _located(classes, ids, n, name, epoch), slices)
     return sum(int((pred == labels[ids]).sum()) for ids, pred in zip(slices, found)) / n
 
 
@@ -646,15 +686,16 @@ def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -
     layer.  Samples that are not 4-D, or labels that are not 1-D, are
     refused with ``ShapeMismatchError``; an empty set, a label count other
     than the sample count, or a label that :func:`integer_labels` refuses,
-    with ``ValueError``."""
-    samples = np.asarray(samples, dtype=np.float64)
+    with ``ValueError``.  Each slice is widened to float64 on its own, so
+    float32 samples are never copied whole."""
+    samples = np.asarray(samples)
     if samples.ndim != 4:
         raise ShapeMismatchError(f"samples must be (n, C, H, W), got shape {samples.shape}")
     labels = _check_labels(labels, config.num_classes, len(samples))
     step = _slice_size(config, samples.shape[-2] * samples.shape[-1])
     with _Workers() as workers:
         return _accuracy(
-            lambda ids: predict(samples[ids], params, config), labels, step, "sample", workers
+            lambda ids: predict(samples[ids], params, config), labels, step, workers, "sample", None
         )
 
 
@@ -756,14 +797,12 @@ def train(
             frozen[which][ids] = aggregate if fits else prefix["kernel"].sigma
         return aggregate, {**prefix, "x": None} if train_mix else _NO_PREFIX
 
-    def where(which: int) -> str:
-        return f"epoch {global_epoch}, {names[which]}"
-
     def train_slice(ids) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
         """Losses, argmax classes and gradient blocks of training samples
         ``ids``."""
         loss, pred, tapes = _located(
-            lambda j: _loss(*aggregated(0, j), labels[j], params, pipeline), ids, n, where(0)
+            lambda j: _loss(*aggregated(0, j), labels[j], params, pipeline),
+            ids, n, names[0], global_epoch,
         )
         return loss, pred, backward(tapes)
 
@@ -817,10 +856,13 @@ def train(
                                 tangent = tangent_project(params.transform, grad * scale)
                                 blocks[name] = retract_step(params.transform, tangent, lr).w
                             except (NonFiniteError, SingularMatrixError) as e:
-                                raise type(e)(
+                                failed = (
                                     f"retraction failed at epoch {global_epoch}, "
                                     f"batch {batch_no}: {e}"
-                                ) from e
+                                )
+                                if isinstance(e, NonFiniteError):
+                                    raise NonFiniteError(failed, epoch=global_epoch) from e
+                                raise SingularMatrixError(failed) from e
                     params = Params.from_blocks(blocks)
                     max_orth = max(max_orth, params.transform.orthogonality_error())
 
@@ -828,7 +870,10 @@ def train(
                 # (sum() compensates from Python 3.12 on).
                 epoch_loss = float(np.cumsum(losses)[-1]) / n
                 if not math.isfinite(epoch_loss):
-                    raise NonFiniteError(f"non-finite mean training loss at epoch {global_epoch}")
+                    raise NonFiniteError(
+                        f"non-finite mean training loss at epoch {global_epoch}",
+                        epoch=global_epoch,
+                    )
                 if epoch_loss <= best_loss - MIN_LOSS_DELTA:
                     best_loss = epoch_loss
                     bad_epochs = 0
@@ -844,8 +889,9 @@ def train(
                         lambda ids: _classes(aggregated(1, ids)[0], params, pipeline),
                         sets[1].labels,
                         steps[1],
-                        where(1),
                         workers,
+                        names[1],
+                        global_epoch,
                     )
                 history.append(
                     MetricsRecord(

@@ -116,6 +116,48 @@ class TestFtsRoundTrip:
             fts_write(ds, tmp_path / "bad.fts")
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFtsMemory:
+    """A dataset stays float32 from the generator or the file on, and
+    FTS1 I/O copies no whole payload."""
+
+    @pytest.fixture
+    def float32_set(self):
+        # 200 samples of 8 x 8 x 8 maps: a 400 KiB payload
+        return synth_generate(num_classes=2, per_class=100, c0=8, h=8, w=8, seed=3)
+
+    def test_float32_kept_and_read_samples_writable(self, tmp_path, float32_set):
+        samples = float32_set.samples
+        assert samples.dtype == np.float32
+        assert FtsDataset(samples, float32_set.labels, 2).samples is samples
+        widened = FtsDataset(samples.astype(np.float16), float32_set.labels, 2).samples
+        assert widened.dtype == np.float64
+        path = tmp_path / "ds.fts"
+        fts_write(float32_set, path)
+        back = fts_read(path).samples
+        assert back.dtype == np.float32 and back.flags.writeable
+        assert np.array_equal(back, samples)
+        back[0, 0, 0, 0] = 1.0
+
+    def test_read_peak_below_one_and_a_half_file_sizes(self, tmp_path, float32_set):
+        path = tmp_path / "ds.fts"
+        fts_write(float32_set, path)
+        assert traced_peak(lambda: fts_read(path)) < 1.5 * path.stat().st_size
+
+    def test_float32_write_peak_below_half_the_payload(self, tmp_path, float32_set):
+        peak = traced_peak(lambda: fts_write(float32_set, tmp_path / "ds.fts"))
+        assert peak < 0.5 * float32_set.samples.nbytes
+
+
 def fts_bytes(labels, payload, c=1, h=1, w=1, num_classes=None) -> bytes:
     """A hand-built FTS1 file; ``num_classes`` defaults to 1 + max(labels)."""
     num_classes = max(labels) + 1 if num_classes is None else num_classes

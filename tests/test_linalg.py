@@ -229,6 +229,17 @@ class TestQrReduced:
         with pytest.raises(SingularMatrixError):
             qr_reduced(np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("r22, refused", [(1e-13, True), (1e-11, False)])
+    def test_rank_tolerance_is_1e_12_of_the_norm(self, r22, refused):
+        # ||a||_F is 1 to within 1e-22, and |r_22| is r22: refused at or
+        # below QR_RANK_TOL = 1e-12 of the norm, kept above it.
+        a = np.array([[1.0, 0.0], [0.0, r22], [0.0, 0.0]])
+        if refused:
+            with pytest.raises(SingularMatrixError, match="column 1"):
+                qr_reduced(a)
+        else:
+            assert np.isclose(qr_reduced(a).r[1, 1], r22, rtol=1e-12)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_entry_refused(self, value):
         # LAPACK gives a clean identity-like Q for this NaN, and the

@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,11 @@ SMALL = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_cla
 
 def tiny_dataset(seed=0, per_class=8, c0=6, h=3, w=3):
     return synth_generate(num_classes=2, per_class=per_class, c0=c0, h=h, w=w, seed=seed)
+
+
+def assert_located(error, epoch, sample, layer):
+    """The attributes of a ``NonFiniteError``, which its message names."""
+    assert (error.epoch, error.sample, error.layer) == (epoch, sample, layer)
 
 
 def poison_compression(monkeypatch, bad_sample, aggregate=lambda x: kernel_forward(x)[0]):
@@ -193,8 +202,9 @@ class TestForward:
         params = init_params(SMALL, seeded_rng(13))
         x = np.ones((6, 3, 3))
         x[0, 0, 0] = np.nan
-        with pytest.raises(NonFiniteError, match="input feature tensor"):
+        with pytest.raises(NonFiniteError, match="input feature tensor") as caught:
             forward(x, 0, params, SMALL)
+        assert_located(caught.value, None, None, "input feature tensor")
 
 
 class TestBackward:
@@ -311,6 +321,30 @@ class TestTrain:
         assert [r.stage for r in history] == [1] * 9 + [2] * 9
         assert [r.lr for r in history] == [base / network_mod.DECAY_FACTOR**k for k in decays * 2]
 
+    @pytest.mark.parametrize("drop, decays", [(3e-4, [0] * 6), (1.5e-5, [0, 0, 0, 0, 1, 1])])
+    def test_plateau_is_a_drop_below_min_loss_delta(self, monkeypatch, drop, decays):
+        # Every sample loss of epoch e reads 1 - e * drop (16 samples, one
+        # slice per epoch), so each epoch improves on the last by `drop`.
+        # A drop of 3e-4 clears MIN_LOSS_DELTA = 1e-4 and never decays the
+        # rate (three of them add up to less than 1e-3).  One of 1.5e-5
+        # (more than 1e-5) is a plateau epoch, and so are the next ones,
+        # as the best loss stays put and 5 drops add up to less than
+        # 1e-4: epochs 2-4 decay the rate from epoch 5 on.
+        true_loss = network_mod.dense_softmax_ce
+        epochs = []
+
+        def scheduled(v, logits, head, label):
+            loss, grads = true_loss(v, logits, head, label)
+            epochs.append(1)
+            return np.full_like(loss, 1.0 - len(epochs) * drop), grads
+
+        monkeypatch.setattr(network_mod, "dense_softmax_ce", scheduled)
+        pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+        tc = TrainConfig(lr_stage1=0.1, epochs_per_stage=6, seed=5, batch_size=16)
+        _, history = train(tiny_dataset(), pipe, tc)
+        assert len(epochs) == 12
+        assert [r.lr for r in history[:6]] == [0.1 / network_mod.DECAY_FACTOR**k for k in decays]
+
     @pytest.mark.parametrize("freeze", [False, True])
     def test_one_tangent_projection_per_minibatch(self, monkeypatch, freeze):
         # 16 samples in batches of 5: 4 minibatches in each of 4 epochs,
@@ -421,11 +455,12 @@ class TestTrain:
             bad = tiny_dataset(seed=4, h=side, w=side)
             bad.samples[index, 0, 0, 0] = np.nan
             assert network_mod._cache_fits(pipe, ds.samples) == (pipe is cached)
-            with pytest.raises(NonFiniteError, match=message):
+            with pytest.raises(NonFiniteError, match=message) as caught:
                 if held_out:
                     train(ds, pipe, tc, test_dataset=bad)
                 else:
                     train(bad, pipe, tc)
+            assert_located(caught.value, 1, index, "input feature tensor")
 
     @pytest.mark.parametrize("mixed", [0, 5])
     @pytest.mark.parametrize("held_out", [False, True])
@@ -459,11 +494,12 @@ class TestTrain:
             "non-finite values first appeared in: input feature tensor$"
         )
         tc = TrainConfig(epochs_per_stage=1, seed=0, batch_size=4)
-        with pytest.raises(NonFiniteError, match=message):
+        with pytest.raises(NonFiniteError, match=message) as caught:
             if held_out:
                 train(ds, pipe, tc, test_dataset=bad)
             else:
                 train(bad, pipe, tc)
+        assert_located(caught.value, 1, last, "input feature tensor")
         assert len(steps) == (4 if held_out else 3)
 
     def test_nan_loss_aborts(self):
@@ -476,13 +512,15 @@ class TestTrain:
             epochs_per_stage=1, seed=0, batch_size=4, lr_stage1=1.7e308, freeze_stiefel=True
         )
         message = "at epoch 1, sample 14: non-finite values first appeared in: loss$"
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=message):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=message) as caught:
             train(ds, pipe, tc)
+        assert_located(caught.value, 1, 14, "loss")
 
     def test_overflow_above_compression_names_epoch_and_sample(self):
         # Covariance of maps scaled by 1e100, no normalization: the head
         # grows to about 1e199 in the first minibatch, then the logits
-        # overflow in a training slice.
+        # overflow in a training slice.  The maps are widened before the
+        # scaling, which would overflow float32.
         ds = tiny_dataset(seed=4)
         pipe = PipelineConfig(
             in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2,
@@ -491,8 +529,9 @@ class TestTrain:
         tc = TrainConfig(epochs_per_stage=1, seed=0, batch_size=4)
         message = "at epoch 1, sample 2: non-finite values first appeared in: classifier logits$"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteError, match=message):
-                train(FtsDataset(ds.samples * 1e100, ds.labels, 2), pipe, tc)
+            with pytest.raises(NonFiniteError, match=message) as caught:
+                train(FtsDataset(ds.samples.astype(np.float64) * 1e100, ds.labels, 2), pipe, tc)
+        assert_located(caught.value, 1, 2, "classifier logits")
 
     def test_held_out_failure_above_compression_named(self, monkeypatch):
         ds, held_out = tiny_dataset(seed=4), tiny_dataset(seed=9)
@@ -501,8 +540,9 @@ class TestTrain:
         message = (
             "at epoch 1, held-out sample 3: non-finite values first appeared in: compressed matrix$"
         )
-        with pytest.raises(NonFiniteError, match=message):
+        with pytest.raises(NonFiniteError, match=message) as caught:
             train(ds, pipe, TrainConfig(epochs_per_stage=1, seed=0), test_dataset=held_out)
+        assert_located(caught.value, 1, 3, "compressed matrix")
 
     def test_first_sample_failing_alone_named_at_any_slice_size(self, monkeypatch):
         # Two bad samples in the first minibatch: the earlier fails at the
@@ -535,6 +575,7 @@ class TestTrain:
                     TrainConfig(epochs_per_stage=1, batch_size=7),
                 )
             assert str(caught.value) == message, step
+            assert_located(caught.value, 1, first, "compressed matrix")
 
     def test_non_finite_epoch_loss_aborts(self):
         # Every sample loss is finite (about 1e307), but their sequential
@@ -544,8 +585,9 @@ class TestTrain:
         tc = TrainConfig(freeze_stiefel=True, batch_size=4, lr_stage1=1e307, lr_stage2=1e307)
         with np.errstate(over="ignore"), pytest.raises(
             NonFiniteError, match="^non-finite mean training loss at epoch 4$"
-        ):
+        ) as caught:
             train(ds, pipe, tc)
+        assert_located(caught.value, 4, None, None)
         record = MetricsRecord(
             epoch=1, stage=1, mean_train_loss=math.inf, train_accuracy=0.5, test_accuracy=None,
             lr=0.1, stiefel_orthogonality_error=0.0, wall_ms=1.0,
@@ -581,8 +623,11 @@ class TestTrain:
             return np.full_like(tangent, np.inf) if len(calls) == 6 else tangent
 
         monkeypatch.setattr(network_mod, "tangent_project", overflowing)
-        with pytest.raises(NonFiniteError, match="epoch 2, batch 2: qr input contains non-finite"):
+        with pytest.raises(
+            NonFiniteError, match="epoch 2, batch 2: qr input contains non-finite"
+        ) as caught:
             network_mod.train(ds, pipe, TrainConfig(epochs_per_stage=2, seed=0, batch_size=4))
+        assert_located(caught.value, 2, None, None)
 
     def test_empty_dataset_rejected(self):
         pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
@@ -800,6 +845,21 @@ class TestEvaluateAccuracy:
         message = re.escape(f"labels must be one per sample (1-D), got shape {labels.shape}")
         with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
             evaluate_accuracy(samples, labels, params, SMALL)
+
+    def test_float32_set_is_widened_one_slice_at_a_time(self, monkeypatch):
+        # 999 samples of 6 x 4 x 4 maps in slices of 8: a float64 copy of
+        # the float32 set would take 767 KB, twice what the set takes.
+        monkeypatch.setattr(network_mod, "SLICE_VALUES", 8 * 96)
+        ds = synth_generate(num_classes=3, per_class=333, c0=6, h=4, w=4, seed=1)
+        samples = ds.samples.astype(np.float32)
+        params = init_params(SMALL, seeded_rng(2), random_head=True)
+        tracemalloc.start()
+        try:
+            evaluate_accuracy(samples, ds.labels, params, SMALL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.nbytes / 2
 
 
 class TestConfigValidation:
@@ -1152,8 +1212,49 @@ class TestWorkers:
             "non-finite values first appeared in: input feature tensor$"
         )
         tc = TrainConfig(epochs_per_stage=1, seed=0, batch_size=8)
-        with pytest.raises(NonFiniteError, match=message):
+        with pytest.raises(NonFiniteError, match=message) as caught:
             if held_out:
                 train(ds, pipe, tc, test_dataset=bad)
             else:
                 train(bad, pipe, tc)
+        assert_located(caught.value, 1, first, "input feature tensor")
+
+
+#: Minor page faults (``getrusage``) the child of
+#: ``test_slices_reuse_heap_pages`` may take inside one ``train`` call.
+#: With the allocator pin it takes about 900 on 2 CPUs; without it, each
+#: slice array is mapped afresh, and it took 4,000-8,000.
+TRAIN_FAULT_BOUND = 2500
+
+_FAULT_CHILD = """
+import os
+import resource
+if hasattr(os, "sched_setaffinity"):  # at most 2 workers: the caller and 1 pool thread
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+from spd_agg import PipelineConfig, TrainConfig, split_by_class, synth_generate, train
+ds = synth_generate(num_classes=2, per_class=150, c0=64, h=2, w=2, seed=7)
+train_ds, test_ds = split_by_class(ds, 100)
+pipe = PipelineConfig(in_channels=64, mixed_channels=0, transform_dim=32, num_classes=2)
+tc = TrainConfig(seed=7, lr_stage1=1.0, lr_stage2=0.1, epochs_per_stage=1, batch_size=32)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(train_ds, pipe, tc, test_dataset=test_ds)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocator:
+    @pytest.mark.skipif(
+        not network_mod._MALLOC_PINNED, reason="the allocator is pinned only under glibc"
+    )
+    def test_slices_reuse_heap_pages(self):
+        # A fresh process, as `spd-agg train` is: C = 64 maps of N = 4 in
+        # 8-sample slices, whose 256 KiB arrays sit above glibc's initial
+        # 128 KiB mmap threshold.
+        src = Path(network_mod.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", _FAULT_CHILD],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < TRAIN_FAULT_BOUND
