@@ -129,7 +129,9 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
     if c < 2 or n < 2:
         raise ValueError(f"kernel aggregation needs C >= 2 and N >= 2, got C={c}, N={n}")
     if not np.isfinite(m).all():
-        raise NonFiniteError("kernel aggregation input contains non-finite values")
+        raise NonFiniteError(
+            "kernel aggregation input contains non-finite values", layer="kernel aggregation input"
+        )
     gram = matmul(m, m.swapaxes(-1, -2))
     sq_norms = np.diagonal(gram, axis1=-2, axis2=-1).copy()
     gram *= 2.0
@@ -196,7 +198,7 @@ def covariance_forward(x) -> np.ndarray:
     if n < 2:
         raise ValueError(f"covariance needs at least two local features, got N={n}")
     if not np.isfinite(m).all():
-        raise NonFiniteError("covariance input contains non-finite values")
+        raise NonFiniteError("covariance input contains non-finite values", layer="covariance input")
     centered = m - m.mean(axis=-1, keepdims=True)
     return matmul(centered, centered.swapaxes(-1, -2)) / (n - 1)
 

@@ -30,6 +30,7 @@ import ctypes
 import json
 import math
 import os
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -197,12 +198,13 @@ class TrainConfig:
     def __post_init__(self):
         for key in ("lr_stage1", "lr_stage2"):
             value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
-        if self.lr_stage1 < 0 or self.lr_stage2 < 0:
-            raise ValueError("learning rates must be >= 0")
+            # Compared, not converted: an int beyond float64 has no float.
+            if not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"{key} must be a finite float64 >= 0, got {value}")
         if self.batch_size < 1 or self.epochs_per_stage < 0:
             raise ValueError("batch size must be >= 1, epochs >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 #: The 1x1 channel mixer's parameters: a 1x1 convolution is a dense layer
@@ -308,15 +310,11 @@ def _assert_finite(name: str, arr) -> None:
         raise NonFiniteError(f"non-finite values first appeared in: {name}", layer=name)
 
 
-def init_params(
-    config: PipelineConfig, rng: np.random.Generator, random_head: bool = False
-) -> Params:
+def init_params(config: PipelineConfig, rng: np.random.Generator) -> Params:
     """Draw initial parameters from ``rng`` (order of draws is fixed).
 
-    The dense head starts at zero — its gradient does not suffer from
-    symmetric-initialization stalls — except for gradient checking, where
-    a zero head would zero out every upstream gradient and make the check
-    vacuous (``random_head=True``).
+    The dense head starts at zero: its gradient does not suffer from
+    symmetric-initialization stalls.
     """
     mix = None
     if config.mixed_channels:
@@ -326,16 +324,10 @@ def init_params(
             bias=np.zeros(config.mixed_channels),
         )
     transform = stiefel_init(config.feature_channels, config.transform_dim, rng)
-    if random_head:
-        head = DenseParams(
-            weights=0.5 * rng.standard_normal((config.num_classes, config.head_dim)),
-            bias=0.1 * rng.standard_normal(config.num_classes),
-        )
-    else:
-        head = DenseParams(
-            weights=np.zeros((config.num_classes, config.head_dim)),
-            bias=np.zeros(config.num_classes),
-        )
+    head = DenseParams(
+        weights=np.zeros((config.num_classes, config.head_dim)),
+        bias=np.zeros(config.num_classes),
+    )
     return Params(mix=mix, transform=transform, head=head)
 
 
@@ -379,11 +371,12 @@ def mix_backward(
 
 
 def _aggregate(
-    x, params: Params, config: PipelineConfig, frozen_sigma: float | np.ndarray | None = None
+    x, params: Params, config: PipelineConfig, sigma: float | np.ndarray | None = None
 ) -> tuple[np.ndarray, dict]:
     """The prefix of the chain: input checks, the mixer, then the kernel
     or covariance aggregation; returns (aggregated matrix, prefix tape
-    fields)."""
+    fields).  ``sigma`` overrides the kernel bandwidth, as in
+    :func:`~spd_agg.kernel.kernel_forward`."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (3, 4):
         raise ShapeMismatchError(f"input must be (C, H, W) or (B, C, H, W), got shape {x.shape}")
@@ -396,7 +389,7 @@ def _aggregate(
     if config.mixed_channels:
         feats, mix_tape = mix_forward(x, params.mix)
     if config.aggregator == "kernel":
-        aggregate, kernel_tape = kernel_forward(feats, sigma=frozen_sigma)
+        aggregate, kernel_tape = kernel_forward(feats, sigma=sigma)
     else:
         kernel_tape = None
         aggregate = covariance_forward(feats)
@@ -454,21 +447,15 @@ def _classes(aggregate: np.ndarray, params: Params, config: PipelineConfig) -> n
 
 
 def forward(
-    x,
-    label: int | np.ndarray,
-    params: Params,
-    config: PipelineConfig,
-    frozen_sigma: float | np.ndarray | None = None,
+    x, label: int | np.ndarray, params: Params, config: PipelineConfig
 ) -> tuple[float | np.ndarray, int | np.ndarray, PipelineTapes]:
     """Run the full chain for one sample; returns (loss, argmax class, tapes).
 
     A (B, C, H, W) stack of samples with B labels runs as one batch and
     returns per-sample losses and classes, and stacked tapes; each sample
-    gets the bits it gets on its own.  ``frozen_sigma`` pins the kernel
-    bandwidth to a reference value so finite-difference probes measure
-    only the differentiated path.
+    gets the bits it gets on its own.
     """
-    aggregate, prefix = _aggregate(x, params, config, frozen_sigma)
+    aggregate, prefix = _aggregate(x, params, config)
     return _loss(aggregate, prefix, label, params, config)
 
 
@@ -935,11 +922,18 @@ GRADCHECK_PARAM_CAP = 5000
 
 def gradcheck_instance(pipeline: PipelineConfig, seed: int) -> tuple[np.ndarray, int, Params]:
     """The (input, label, params) triple :func:`grad_check` derives from a
-    seed; the input is one sample of 3 x 3 maps."""
+    seed; the input is one sample of 3 x 3 maps.  The dense head is drawn
+    at random after :func:`init_params`: a zero head would zero every
+    upstream gradient and make the check vacuous."""
     rng = seeded_rng(seed)
     x = rng.standard_normal((pipeline.in_channels, 3, 3))
     label = int(rng.integers(pipeline.num_classes))
-    return x, label, init_params(pipeline, rng, random_head=True)
+    params = init_params(pipeline, rng)
+    params.head = DenseParams(
+        weights=0.5 * rng.standard_normal((pipeline.num_classes, pipeline.head_dim)),
+        bias=0.1 * rng.standard_normal(pipeline.num_classes),
+    )
+    return x, label, params
 
 
 def grad_check(
@@ -965,8 +959,8 @@ def grad_check(
     frozen = tapes.kernel.sigma if tapes.kernel is not None else None
     analytic = backward(tapes)
 
-    def loss_with(p: Params, xs: np.ndarray) -> float:
-        return forward(xs, label, p, pipeline, frozen_sigma=frozen)[0]
+    def loss() -> float:
+        return _loss(*_aggregate(x, params, pipeline, frozen), label, params, pipeline)[0]
 
     report = GradCheckReport(tolerance=tolerance)
     # The arrays themselves: perturbing an entry perturbs the forward.
@@ -977,9 +971,9 @@ def grad_check(
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + FD_STEP
-            up = loss_with(params, x)
+            up = loss()
             flat[i] = orig - FD_STEP
-            down = loss_with(params, x)
+            down = loss()
             flat[i] = orig
             num_flat[i] = (up - down) / (2.0 * FD_STEP)
         grad = analytic[name]

@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spd_agg.cli as cli
 from spd_agg.cli import _FIELD_TYPES, _JSON_TYPES, main, parse_config
@@ -128,6 +130,86 @@ class TestParseConfig:
         code, out, err = run(capsys, ["train", "--data", str(data), "--config", str(bad)])
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            pytest.param(
+                command, f'{{"{key}": {sign}1{"0" * 400}}}', f"{key} must be a finite float64 >= 0",
+                id=f"{command}-{key}-{sign}1e400",
+            )
+            for command in ("train", "gradcheck")
+            for key in ("lr_stage1", "lr_stage2")
+            for sign in ("", "-")
+        ]
+        + [
+            pytest.param(
+                "gradcheck", '{"seed": -1}', "seed must be >= 0, got -1",
+                id="gradcheck-seed-minus-1",
+            )
+        ],
+    )
+    def test_out_of_range_value_fails_cleanly(
+        self, small_run, tmp_path, capsys, command, text, message
+    ):
+        # An integer beyond float64 is a JSON number, so it passes the
+        # type check; the range check must refuse it without converting.
+        # gradcheck reads no seed from the config, yet refuses a negative
+        # one, as train does.
+        data, _ = small_run
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, **json.loads(text)}))
+        argv = [command, "--config", str(bad)]
+        if command == "train":
+            argv += ["--data", str(data)]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+
+_BEYOND_FLOAT = st.sampled_from([10**400, -(10**400), 2**1024])
+
+#: Every type of JSON value Python's ``json`` reads, nested: integers
+#: beyond float64 among them, and NaN and infinities, which it reads too.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _BEYOND_FLOAT | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+#: Values of each field's JSON type, extremes included.
+_TYPED_VALUES = {
+    "bool": st.booleans(),
+    "int": st.integers() | _BEYOND_FLOAT,
+    "float": st.integers() | _BEYOND_FLOAT | st.floats(),
+    "str": st.sampled_from(["kernel", "covariance"]) | st.text(max_size=8),
+}
+
+
+@st.composite
+def _raw_configs(draw):
+    """A config object: known keys with values of their type or of any
+    type, and now and then an unknown key."""
+    keys = draw(st.lists(st.sampled_from(sorted(_FIELD_TYPES)), unique=True, max_size=6))
+    raw = {key: draw(_TYPED_VALUES[_FIELD_TYPES[key]] | _JSON_VALUES) for key in keys}
+    return raw | draw(st.dictionaries(st.text(max_size=12), _JSON_VALUES, max_size=1))
+
+
+class TestParseConfigProperty:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(raw=_raw_configs())
+    @example(raw={"lr_stage1": 10**400})
+    def test_any_object_gives_configs_or_value_error(self, raw):
+        try:
+            pipeline, tc = parse_config(raw)
+        except ValueError:
+            return
+        assert type(pipeline) is PipelineConfig and type(tc) is TrainConfig
+        fields = dataclasses.asdict(pipeline) | dataclasses.asdict(tc)
+        assert all(fields[key] == value for key, value in raw.items())
 
 
 class TestSynth:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import spd_agg.kernel as kernel_mod
 import spd_agg.network as network_mod
 from spd_agg import (
+    DenseParams,
     FtsDataset,
     MetricsRecord,
     MixParams,
@@ -54,6 +55,18 @@ def tiny_dataset(seed=0, per_class=8, c0=6, h=3, w=3):
     return synth_generate(num_classes=2, per_class=per_class, c0=c0, h=h, w=w, seed=seed)
 
 
+def random_head_params(config, rng):
+    """:func:`init_params`, then a random dense head drawn from the same
+    ``rng`` (weights, then bias), as the gradient check draws it: a zero
+    head would zero every gradient below it."""
+    params = init_params(config, rng)
+    params.head = DenseParams(
+        weights=0.5 * rng.standard_normal((config.num_classes, config.head_dim)),
+        bias=0.1 * rng.standard_normal(config.num_classes),
+    )
+    return params
+
+
 def assert_located(error, epoch, sample, layer):
     """The attributes of a ``NonFiniteError``, which its message names."""
     assert (error.epoch, error.sample, error.layer) == (epoch, sample, layer)
@@ -73,6 +86,22 @@ def poison_compression(monkeypatch, bad_sample, aggregate=lambda x: kernel_forwa
         return np.where(hit[..., None, None], np.nan, y), tape
 
     monkeypatch.setattr(network_mod, "transform_forward", poisoned)
+
+
+#: Each aggregator with the layer its refusal of a non-finite input names.
+AGGREGATOR_INPUTS = [("kernel", "kernel aggregation input"), ("covariance", "covariance input")]
+
+
+def overflowing_mixer(aggregator):
+    """A pipeline with a mixer, and a set of all-ones maps.  With every
+    mixer weight at 1e308, each mixed value adds six of them and
+    overflows, so every sample fails at the aggregator's own check of its
+    input."""
+    pipe = PipelineConfig(
+        in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2, aggregator=aggregator
+    )
+    ds = tiny_dataset(seed=4)
+    return pipe, FtsDataset(np.ones_like(ds.samples), ds.labels, 2)
 
 
 class TestMixLayer:
@@ -212,7 +241,7 @@ class TestBackward:
         # logits gap ~800 makes the softmax exactly one-hot in float64,
         # so the loss gradient vanishes and must propagate as exact zeros.
         pipe = SMALL
-        params = init_params(pipe, seeded_rng(14), random_head=True)
+        params = random_head_params(pipe, seeded_rng(14))
         params.head.bias = np.array([800.0, 0.0, 0.0])
         x = seeded_rng(15).standard_normal((6, 3, 3))
         _, _, tapes = forward(x, 0, params, pipe)
@@ -577,6 +606,27 @@ class TestTrain:
             assert str(caught.value) == message, step
             assert_located(caught.value, 1, first, "compressed matrix")
 
+    @pytest.mark.parametrize("aggregator, layer", AGGREGATOR_INPUTS)
+    def test_mixer_overflow_named_at_the_aggregator(self, monkeypatch, aggregator, layer):
+        pipe, ds = overflowing_mixer(aggregator)
+        true_init = network_mod.init_params
+
+        def overflowing(config, rng):
+            params = true_init(config, rng)
+            params.mix.weights[:] = 1e308
+            return params
+
+        monkeypatch.setattr(network_mod, "init_params", overflowing)
+        rng = seeded_rng(0)
+        true_init(pipe, rng)
+        first = int(rng.permutation(len(ds.labels))[0])
+        message = (
+            f"^non-finite value at epoch 1, sample {first}: {layer} contains non-finite values$"
+        )
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=message) as caught:
+            train(ds, pipe, TrainConfig(epochs_per_stage=1, seed=0, batch_size=4))
+        assert_located(caught.value, 1, first, layer)
+
     def test_non_finite_epoch_loss_aborts(self):
         # Every sample loss is finite (about 1e307), but their sequential
         # sum overflows in epoch 4; "Infinity" is not JSON.
@@ -699,7 +749,7 @@ def assert_cache_changes_no_bit(monkeypatch, pipe, shape, count=16, slice_sample
             monkeypatch.setattr(network_mod, "_cache_fits", lambda config, samples: False)
             monkeypatch.setattr(
                 network_mod, "_aggregate",
-                lambda x, params, config, frozen_sigma=None: aggregate(x, params, config),
+                lambda x, params, config, sigma=None: aggregate(x, params, config),
             )
         params, history = train(ds, pipe, tc, test_dataset=held_out)
         runs.append(([r.to_json_line() for r in history], params.blocks()))
@@ -846,13 +896,23 @@ class TestEvaluateAccuracy:
         with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
             evaluate_accuracy(samples, labels, params, SMALL)
 
+    @pytest.mark.parametrize("aggregator, layer", AGGREGATOR_INPUTS)
+    def test_mixer_overflow_named_at_the_aggregator(self, aggregator, layer):
+        pipe, ds = overflowing_mixer(aggregator)
+        params = init_params(pipe, seeded_rng(2))
+        params.mix.weights[:] = 1e308
+        message = f"^non-finite value at sample 0: {layer} contains non-finite values$"
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=message) as caught:
+            evaluate_accuracy(ds.samples, ds.labels, params, pipe)
+        assert_located(caught.value, None, 0, layer)
+
     def test_float32_set_is_widened_one_slice_at_a_time(self, monkeypatch):
         # 999 samples of 6 x 4 x 4 maps in slices of 8: a float64 copy of
         # the float32 set would take 767 KB, twice what the set takes.
         monkeypatch.setattr(network_mod, "SLICE_VALUES", 8 * 96)
         ds = synth_generate(num_classes=3, per_class=333, c0=6, h=4, w=4, seed=1)
         samples = ds.samples.astype(np.float32)
-        params = init_params(SMALL, seeded_rng(2), random_head=True)
+        params = random_head_params(SMALL, seeded_rng(2))
         tracemalloc.start()
         try:
             evaluate_accuracy(samples, ds.labels, params, SMALL)
@@ -905,7 +965,7 @@ GRAD_BLOCKS = ("mix.weights", "mix.bias", "stiefel.w", "dense.weights", "dense.b
 class TestParamTable:
     @pytest.mark.parametrize("pipe", BATCH_PIPELINES)
     def test_blocks_follow_the_table(self, pipe):
-        params = init_params(pipe, seeded_rng(22), random_head=True)
+        params = random_head_params(pipe, seeded_rng(22))
         blocks = params.blocks()
         assert [(k, v.shape) for k, v in blocks.items()] == list(param_shapes(pipe).items())
         assert (params.mix is None) == ("mix.weights" not in blocks)
@@ -922,7 +982,7 @@ class TestBatchedChain:
         rng = seeded_rng(20)
         xs = rng.standard_normal((7, pipe.in_channels, 3, 3))
         labels = rng.integers(pipe.num_classes, size=7)
-        params = init_params(pipe, rng, random_head=True)
+        params = random_head_params(pipe, rng)
 
         # B = 1 calls, gradients summed in sample order from the first.
         single_losses, single_logits, single_total = [], [], {}
@@ -956,7 +1016,7 @@ class TestBatchedChain:
     def test_backward_writes_no_tape_array(self):
         rng = seeded_rng(22)
         xs = rng.standard_normal((4, 6, 3, 3))
-        params = init_params(SMALL, rng, random_head=True)
+        params = random_head_params(SMALL, rng)
         _, _, tapes = forward(xs, np.array([0, 1, 2, 0]), params, SMALL)
 
         def tape_bytes():
@@ -975,7 +1035,7 @@ class TestBatchedChain:
         # aggregation's give nothing below the compression, x or not.
         rng = seeded_rng(21)
         xs = rng.standard_normal((4, 6, 3, 3))
-        params = init_params(SMALL, rng, random_head=True)
+        params = random_head_params(SMALL, rng)
         _, _, tapes = forward(xs, np.array([0, 1, 2, 0]), params, SMALL)
         full = backward(tapes)
         for stripped, kept in (
