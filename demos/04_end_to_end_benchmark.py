@@ -8,7 +8,11 @@ W, and classifies the vectorized result; training runs the two-stage
 schedule (head-only first, then everything).
 
 The same run with W frozen at its random initialization isolates what
-*learning* the compression contributes.
+*learning* the compression contributes.  The closing lines compare the
+two runs on what this one seed measured: final training loss and best
+held-out accuracy.  Over data and training seeds 1-10 at these
+settings, the learned W ended with the lower training loss on all ten,
+but with the higher best accuracy on only five.
 
 CLI equivalent:
     spd-agg synth --classes 2 --per-class 150 --channels 16 --spatial 6 \
@@ -30,6 +34,7 @@ per_class_means = [full.samples[full.labels == k].mean() for k in (0, 1)]
 print(f"class means (no first-order signal): {per_class_means[0]:+.4f} vs {per_class_means[1]:+.4f}\n")
 
 pipeline = PipelineConfig(in_channels=16, mixed_channels=12, transform_dim=8, num_classes=2)
+measured = {}
 
 for label, tc in (
     ("learned compression", TrainConfig(seed=7)),
@@ -45,7 +50,9 @@ for label, tc in (
     best = max(r.test_accuracy for r in history)
     print(f"best test accuracy: {best:.3f}")
     print(f"final orthonormality drift: {params.transform.orthogonality_error():.2e}\n")
+    measured[label] = (history[-1].mean_train_loss, best)
 
-print("learning W consistently beats the frozen random projection here:")
-print("the compression aligns its columns with class-discriminative directions")
+(learned_loss, learned_best), (frozen_loss, frozen_best) = measured.values()
+print(f"final training loss, learned vs frozen W: {learned_loss:.4f} vs {frozen_loss:.4f}")
+print(f"best test accuracy, learned vs frozen W:  {learned_best:.3f} vs {frozen_best:.3f}")
 print(f"(draw determinism: np {np.__version__}, identical reruns are bit-exact)")

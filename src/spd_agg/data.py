@@ -21,7 +21,7 @@ header fixes every other byte::
 
     magic "FTSP" | version u32 = 2 | in_channels u32 | mixed_channels u32 |
     transform_dim u32 | num_classes u32 | use_spd_relu u32 |
-    aggregator u32 (0 kernel, 1 covariance) | power u32 | l2 u32 |
+    aggregator u32 (index into network.AGGREGATORS) | power u32 | l2 u32 |
     payload: float64 row-major, in the order of network.param_shapes:
     mix.weights, mix.bias (both only when mixed_channels > 0), stiefel.w,
     dense.weights, dense.bias |
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import FtsParseError, NonFiniteError, ShapeMismatchError
 from .linalg import matmul, seeded_rng
-from .network import Params, PipelineConfig, integer_labels, param_shapes
+from .network import AGGREGATORS, Params, PipelineConfig, integer_labels, param_shapes
 
 __all__ = [
     "FtsDataset",
@@ -245,7 +245,7 @@ def save_checkpoint(path, params: Params, pipeline: PipelineConfig) -> None:
     header = _CKPT_HEADER.pack(
         CKPT_MAGIC, CKPT_VERSION, pipeline.in_channels, pipeline.mixed_channels,
         pipeline.transform_dim, pipeline.num_classes, pipeline.use_spd_relu,
-        pipeline.aggregator == "covariance", pipeline.power_norm, pipeline.l2_norm,
+        AGGREGATORS.index(pipeline.aggregator), pipeline.power_norm, pipeline.l2_norm,
     )
     blob = header + b"".join(np.asarray(arrays[name], dtype="<f8").tobytes() for name in shapes)
     with open(path, "wb") as f:
@@ -289,7 +289,7 @@ def load_checkpoint(path) -> tuple[Params, PipelineConfig]:
         pipeline = PipelineConfig(
             *dims,
             use_spd_relu=bool(relu),
-            aggregator=("kernel", "covariance")[agg],
+            aggregator=AGGREGATORS[agg],
             power_norm=bool(power), l2_norm=bool(l2),
         )
     except ValueError as e:

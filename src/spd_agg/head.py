@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import matmul
+from .linalg import SYM_TOL, matmul
 
 __all__ = [
     "DenseParams",
@@ -59,10 +59,11 @@ def vectorize(y: np.ndarray) -> np.ndarray:
     Frobenius norm.
 
     Every producer in the chain hands over an exactly symmetric matrix;
-    input further than 1e-10 from symmetric is refused (the distance is
-    taken only for input that is not exactly symmetric).  On symmetric
-    matrices :func:`vectorize_backward` is the exact adjoint.  A stack
-    of matrices along leading axes gives a stack of vectors.
+    input further than :data:`~spd_agg.linalg.SYM_TOL` from symmetric is
+    refused (the distance is taken only for input that is not exactly
+    symmetric).  On symmetric matrices :func:`vectorize_backward` is the
+    exact adjoint.  A stack of matrices along leading axes gives a stack
+    of vectors.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim < 2 or y.shape[-1] != y.shape[-2]:
@@ -70,7 +71,7 @@ def vectorize(y: np.ndarray) -> np.ndarray:
     if not (y == y.swapaxes(-1, -2)).all():
         diff = y - y.swapaxes(-1, -2)
         asym = float(np.sqrt((diff * diff).sum(axis=(-2, -1))).max())
-        if asym > 1e-10:
+        if asym > SYM_TOL:
             raise ValueError(f"vectorize input is not symmetric: ||y - y^T||_F = {asym:.3e}")
     c = y.shape[-1]
     index, _, scale = _triu(c)

@@ -74,6 +74,7 @@ from .stiefel import (
 )
 
 __all__ = [
+    "AGGREGATORS",
     "PipelineConfig",
     "TrainConfig",
     "MixParams",
@@ -100,6 +101,9 @@ __all__ = [
 MIN_LOSS_DELTA = 1e-4
 PLATEAU_PATIENCE = 3
 DECAY_FACTOR = 10.0
+
+#: The aggregation layers, in the order of their FTSP checkpoint codes.
+AGGREGATORS = ("kernel", "covariance")
 
 #: Float64 values (256 KiB) the widest per-sample array of a slice may
 #: hold across the slice: the input maps (C0 x N, widened from the stored
@@ -163,7 +167,7 @@ class PipelineConfig:
             raise ValueError("channel, transform, and class counts must be >= 1")
         if self.mixed_channels < 0:
             raise ValueError("mixed_channels must be >= 0 (0 disables the mixer)")
-        if self.aggregator not in ("kernel", "covariance"):
+        if self.aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.transform_dim > self.feature_channels:
             raise ValueError(
@@ -311,24 +315,20 @@ def _assert_finite(name: str, arr) -> None:
 
 
 def init_params(config: PipelineConfig, rng: np.random.Generator) -> Params:
-    """Draw initial parameters from ``rng`` (order of draws is fixed).
+    """Draw initial parameters from ``rng`` (order of draws is fixed):
+    every block of :func:`param_shapes` starts at zero, then the mixer
+    weights and the compression are drawn.
 
-    The dense head starts at zero: its gradient does not suffer from
+    The dense head stays at zero: its gradient does not suffer from
     symmetric-initialization stalls.
     """
-    mix = None
+    shapes = param_shapes(config)
+    blocks = {name: np.zeros(shape) for name, shape in shapes.items()}
     if config.mixed_channels:
-        mix = MixParams(
-            weights=rng.standard_normal((config.mixed_channels, config.in_channels))
-            / math.sqrt(config.in_channels),
-            bias=np.zeros(config.mixed_channels),
-        )
-    transform = stiefel_init(config.feature_channels, config.transform_dim, rng)
-    head = DenseParams(
-        weights=np.zeros((config.num_classes, config.head_dim)),
-        bias=np.zeros(config.num_classes),
-    )
-    return Params(mix=mix, transform=transform, head=head)
+        scale = math.sqrt(config.in_channels)
+        blocks["mix.weights"] = rng.standard_normal(shapes["mix.weights"]) / scale
+    blocks["stiefel.w"] = stiefel_init(*shapes["stiefel.w"], rng).w
+    return Params.from_blocks(blocks)
 
 
 def mix_forward(x, params: MixParams) -> tuple[np.ndarray, MixTape]:
@@ -642,13 +642,22 @@ def integer_labels(labels, num_classes: int) -> np.ndarray:
     return ints
 
 
-def _check_labels(labels, num_classes: int, n: int) -> np.ndarray:
-    """The labels of a set of ``n`` samples through :func:`integer_labels`;
-    a label count other than ``n``, or an empty set, is refused."""
-    labels = integer_labels(labels, num_classes)
-    if len(labels) != n:
-        raise ValueError(f"got {len(labels)} labels for {n} samples")
-    if n == 0:
+def _check_set(samples: np.ndarray, labels, config: PipelineConfig, name: str) -> np.ndarray:
+    """The labels of the (n, C, H, W) ``samples`` of the set called
+    ``name``, through :func:`integer_labels`; run before any slice.
+    Samples that are not 4-D, or whose channel count is not the config's,
+    are refused with ``ShapeMismatchError``; a label count other than n,
+    or an empty set, with ``ValueError``."""
+    if samples.ndim != 4:
+        raise ShapeMismatchError(f"samples must be (n, C, H, W), got shape {samples.shape}")
+    if samples.shape[1] != config.in_channels:
+        raise ShapeMismatchError(
+            f"{name} set has {samples.shape[1]} channels, config expects {config.in_channels}"
+        )
+    labels = integer_labels(labels, config.num_classes)
+    if len(labels) != len(samples):
+        raise ValueError(f"got {len(labels)} labels for {len(samples)} samples")
+    if len(samples) == 0:
         raise ValueError("dataset is empty")
     return labels
 
@@ -670,15 +679,11 @@ def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -
     predicted in slices of stacked samples on up to :data:`WORKERS`
     threads and counted in dataset order.  A non-finite value names the
     first sample, in dataset order, that fails on its own, and the
-    layer.  Samples that are not 4-D, or labels that are not 1-D, are
-    refused with ``ShapeMismatchError``; an empty set, a label count other
-    than the sample count, or a label that :func:`integer_labels` refuses,
-    with ``ValueError``.  Each slice is widened to float64 on its own, so
-    float32 samples are never copied whole."""
+    layer.  The set is checked by :func:`_check_set`, as the
+    ``evaluation`` set, before any slice runs.  Each slice is widened to
+    float64 on its own, so float32 samples are never copied whole."""
     samples = np.asarray(samples)
-    if samples.ndim != 4:
-        raise ShapeMismatchError(f"samples must be (n, C, H, W), got shape {samples.shape}")
-    labels = _check_labels(labels, config.num_classes, len(samples))
+    labels = _check_set(samples, labels, config, "evaluation")
     step = _slice_size(config, samples.shape[-2] * samples.shape[-1])
     with _Workers() as workers:
         return _accuracy(
@@ -720,15 +725,16 @@ def train(
     """Two-stage SGD over the pipeline; returns final params and metrics.
 
     ``dataset`` and the optional ``test_dataset`` are
-    :class:`~spd_agg.data.FtsDataset` objects, neither empty, with labels
-    in ``[0, num_classes)``.  Stage 1 trains the new layers with the
-    channel mixer frozen; stage 2 trains everything.  The learning rate
-    of a stage, used by the Euclidean and the manifold steps alike, is
-    divided by ``DECAY_FACTOR`` whenever the epoch mean training loss
-    fails to improve by ``MIN_LOSS_DELTA`` for ``PLATEAU_PATIENCE``
-    consecutive epochs.  Batch gradients are ordered sums over the batch
-    divided by the batch size; every random choice comes from the seeded
-    generator, so runs are reproducible bit-for-bit.
+    :class:`~spd_agg.data.FtsDataset` objects, which :func:`_check_set`
+    checks, as the ``training`` and ``held-out`` sets, before any slice
+    runs.  Stage 1 trains the new layers with the channel mixer frozen;
+    stage 2 trains everything.  The learning rate of a stage, used by the
+    Euclidean and the manifold steps alike, is divided by ``DECAY_FACTOR``
+    whenever the epoch mean training loss fails to improve by
+    ``MIN_LOSS_DELTA`` for ``PLATEAU_PATIENCE`` consecutive epochs.  Batch
+    gradients are ordered sums over the batch divided by the batch size;
+    every random choice comes from the seeded generator, so runs are
+    reproducible bit-for-bit.
 
     While a stage does not train the mixer, each sample's aggregated
     matrix is a constant, and so is its kernel bandwidth.  The first
@@ -752,8 +758,8 @@ def train(
     non-finite epoch mean loss names the epoch.
     """
     sets = [dataset] if test_dataset is None else [dataset, test_dataset]
-    for ds in sets:
-        _check_labels(ds.labels, pipeline.num_classes, len(ds))
+    for ds, name in zip(sets, ("training", "held-out")):
+        _check_set(ds.samples, ds.labels, pipeline, name)
     labels = dataset.labels
     n = len(labels)
     names = ("sample", "held-out sample")
@@ -930,8 +936,8 @@ def gradcheck_instance(pipeline: PipelineConfig, seed: int) -> tuple[np.ndarray,
     label = int(rng.integers(pipeline.num_classes))
     params = init_params(pipeline, rng)
     params.head = DenseParams(
-        weights=0.5 * rng.standard_normal((pipeline.num_classes, pipeline.head_dim)),
-        bias=0.1 * rng.standard_normal(pipeline.num_classes),
+        weights=0.5 * rng.standard_normal(params.head.weights.shape),
+        bias=0.1 * rng.standard_normal(params.head.bias.shape),
     )
     return x, label, params
 

@@ -66,6 +66,8 @@ MUTANTS = [
            "POWER_EPS = 1e-8", "POWER_EPS = 1e-6", "tests/test_head.py"),
     Mutant("qr-rank-tol", "src/spd_agg/linalg.py",
            "QR_RANK_TOL = 1e-12", "QR_RANK_TOL = 1e-14", "tests/test_linalg.py"),
+    Mutant("sym-tol", "src/spd_agg/linalg.py",
+           "SYM_TOL = 1e-10", "SYM_TOL = 1e-8", "tests/test_linalg.py"),
     Mutant("ckpt-ortho-tol", "src/spd_agg/data.py",
            "CKPT_ORTHO_TOL = 1e-8", "CKPT_ORTHO_TOL = 1e-2", "tests/test_cli.py"),
     Mutant("min-loss-delta", "src/spd_agg/network.py",
@@ -75,6 +77,9 @@ MUTANTS = [
            "tests/test_cli.py"),
     Mutant("negative-seed", "src/spd_agg/network.py",
            "if self.seed < 0:", "if self.seed < -1:", "tests/test_cli.py"),
+    Mutant("set-channel-check", "src/spd_agg/network.py",
+           "if samples.shape[1] != config.in_channels:", "if False:",
+           "tests/test_network.py"),
     Mutant("kernel-refusal-layer", "src/spd_agg/kernel.py",
            'layer="kernel aggregation input"', "layer=None", "tests/test_network.py"),
     Mutant("covariance-refusal-layer", "src/spd_agg/kernel.py",
@@ -83,14 +88,11 @@ MUTANTS = [
            "_aggregate(x, params, pipeline, frozen)", "_aggregate(x, params, pipeline)",
            "tests/test_network.py"),
     Mutant("gradcheck-zero-head", "src/spd_agg/network.py",
-           "weights=0.5 * rng.standard_normal((pipeline.num_classes, pipeline.head_dim)),",
-           "weights=np.zeros((pipeline.num_classes, pipeline.head_dim)),",
+           "weights=0.5 * rng.standard_normal(params.head.weights.shape),",
+           "weights=np.zeros(params.head.weights.shape),",
            "tests/test_network.py"),
-    # test_network.py's TestWorkers asserts the slice size its data gets
-    # (8 samples) before it compares worker counts, so the golden replays
-    # are this row's test file.
     Mutant("slice-values", "src/spd_agg/network.py",
-           "SLICE_VALUES = 32_768", "SLICE_VALUES = 8_192", "tests/test_acceptance.py",
+           "SLICE_VALUES = 32_768", "SLICE_VALUES = 8_192", "tests/test_network.py",
            survives="sets how many samples a slice stacks; every slice size gives "
                     "each sample the same bits"),
     Mutant("block-add-values", "src/spd_agg/network.py",

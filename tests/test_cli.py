@@ -293,11 +293,31 @@ class TestTrainEval:
         data, _ = small_run
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**SMALL_CONFIG, "in_channels": 7, "mixed_channels": 5}))
-        code, _, err = run(
+        code, out, err = run(
             capsys, ["train", "--data", str(data), "--config", str(bad)]
         )
-        assert code == 1
-        assert "channels" in err
+        assert (code, out) == (1, "")
+        assert err == "error: training set has 6 channels, config expects 7\n"
+
+    @pytest.mark.parametrize("where, name", [("test", "held-out"), ("eval", "evaluation")])
+    def test_wrong_channel_count_names_the_set(self, small_run, tmp_path, capsys, where, name):
+        # A 7-channel held-out or eval file where the config takes 6: one
+        # error line that names the set and both counts.
+        data, config = small_run
+        seven = tmp_path / "seven.fts"
+        argv = ["synth", "--classes", "2", "--per-class", "4", "--channels", "7",
+                "--spatial", "3", "--seed", "1", "--out", str(seven)]
+        assert run(capsys, argv)[0] == 0
+        if where == "eval":
+            ckpt = tmp_path / "model.ftsp"
+            argv = ["train", "--data", str(data), "--config", str(config), "--out-ckpt", str(ckpt)]
+            assert run(capsys, argv)[0] == 0
+            argv = ["eval", "--data", str(seven), "--ckpt", str(ckpt)]
+        else:
+            argv = ["train", "--data", str(data), "--test", str(seven), "--config", str(config)]
+        assert run(capsys, argv) == (
+            1, "", f"error: {name} set has 7 channels, config expects 6\n"
+        )
 
     def test_missing_file_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run(capsys, ["eval", "--data", str(tmp_path / "no.fts"),

@@ -17,6 +17,7 @@ from spd_agg import (
     seeded_rng,
     sym_eigvals,
     symmetrize,
+    vectorize,
 )
 from _oracles import matmul_triple_loop
 
@@ -270,6 +271,16 @@ class TestSymEigvals:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):
             sym_eigvals(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("fn", [sym_eigvals, vectorize], ids=lambda fn: fn.__name__)
+    def test_one_symmetry_tolerance(self, fn):
+        # Both read SYM_TOL = 1e-10; ||a - a^T||_F is sqrt(2) * delta.
+        def near(delta):
+            return np.array([[1.0, 0.0], [delta, 1.0]])
+
+        fn(near(1e-11))
+        with pytest.raises(ValueError, match="not symmetric"):
+            fn(near(1e-9))
 
     def test_recovers_planted_spectrum(self):
         rng = seeded_rng(9)

@@ -67,6 +67,19 @@ def random_head_params(config, rng):
     return params
 
 
+def spy_aggregate(monkeypatch) -> list:
+    """Replace ``network._aggregate`` with a wrapper that records each call
+    in the list it returns."""
+    calls, true_aggregate = [], network_mod._aggregate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return true_aggregate(*args, **kwargs)
+
+    monkeypatch.setattr(network_mod, "_aggregate", counted)
+    return calls
+
+
 def assert_located(error, epoch, sample, layer):
     """The attributes of a ``NonFiniteError``, which its message names."""
     assert (error.epoch, error.sample, error.layer) == (epoch, sample, layer)
@@ -704,6 +717,19 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\), got range \[0, 2\]"):
             train(ds, pipe, TrainConfig(epochs_per_stage=1))
 
+    @pytest.mark.parametrize("mixed", [5, 0])
+    @pytest.mark.parametrize("where, name", [(0, "training"), (1, "held-out")])
+    def test_wrong_channel_count_refused_before_any_slice(self, monkeypatch, mixed, where, name):
+        # A set of 7-channel maps for a 6-channel config is refused, naming
+        # the set and both counts, before any sample is aggregated.
+        pipe = PipelineConfig(in_channels=6, mixed_channels=mixed, transform_dim=3, num_classes=2)
+        sets = [tiny_dataset(), tiny_dataset()]
+        sets[where] = tiny_dataset(c0=7)
+        calls = spy_aggregate(monkeypatch)
+        with pytest.raises(ShapeMismatchError, match=f"^{name} set has 7 channels, config expects 6$"):
+            train(sets[0], pipe, TrainConfig(epochs_per_stage=1), test_dataset=sets[1])
+        assert calls == []
+
 
 #: Pipelines whose stage 1 caches the aggregated matrices of the 3 x 3
 #: tiny dataset: kernel with mixer, covariance with matrix ReLU, no mixer
@@ -839,6 +865,15 @@ class TestEvaluateAccuracy:
         params = init_params(SMALL, seeded_rng(0))
         with pytest.raises(ValueError, match="^dataset is empty$"):
             evaluate_accuracy(np.zeros((0, 6, 3, 3)), np.zeros(0, dtype=int), params, SMALL)
+
+    def test_wrong_channel_count_refused_before_any_slice(self, monkeypatch):
+        params = init_params(SMALL, seeded_rng(0))
+        samples = seeded_rng(1).standard_normal((2, 7, 3, 3))
+        calls = spy_aggregate(monkeypatch)
+        message = "^evaluation set has 7 channels, config expects 6$"
+        with pytest.raises(ShapeMismatchError, match=message):
+            evaluate_accuracy(samples, [0, 1], params, SMALL)
+        assert calls == []
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_out_of_range_label_rejected(self, label):
@@ -1229,6 +1264,7 @@ class TestWorkers:
         train_ds, held_out = split_by_class(ds, 24)
         pipe = PipelineConfig(in_channels=64, mixed_channels=0, transform_dim=8, num_classes=2)
         tc = TrainConfig(lr_stage1=1.0, lr_stage2=0.1, epochs_per_stage=2, batch_size=32, seed=3)
+        monkeypatch.setattr(network_mod, "SLICE_VALUES", 8 * 64 * 64)
         assert network_mod._slice_size(pipe, 4) == 8
         runs = []
         interval = sys.getswitchinterval()

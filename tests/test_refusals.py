@@ -10,6 +10,7 @@ import pytest
 from spd_agg import (
     DenseParams,
     FtsDataset,
+    FtsParseError,
     MixParams,
     NonFiniteError,
     PipelineConfig,
@@ -20,6 +21,7 @@ from spd_agg import (
     covariance_forward,
     dense_logits,
     forward,
+    fts_read,
     fts_write,
     init_params,
     matmul,
@@ -27,6 +29,7 @@ from spd_agg import (
     mix_forward,
     qr_reduced,
     retract_step,
+    save_checkpoint,
     seeded_rng,
     split_by_class,
     stiefel_init,
@@ -128,6 +131,10 @@ CASES = {
         lambda: forward(np.zeros((5, 3, 3)), 0, init_params(UNMIXED, seeded_rng(0)), UNMIXED),
         ShapeMismatchError, "input has 5 channels, config expects 6",
     ),
+    "fts-dataset-label-count": (
+        lambda: FtsDataset(np.zeros((3, 1, 2, 2)), [0, 1], 2),
+        ShapeMismatchError, "3 samples but (2,) labels",
+    ),
     "fts-write-zero-dimension": (
         lambda: fts_write(FtsDataset(np.zeros((2, 1, 0, 3)), [0, 1], 2), "unwritten.fts"),
         ValueError, "counts must be >= 1, got shape (1, 0, 3)",
@@ -169,7 +176,24 @@ def test_cli_refusals(tmp_path, monkeypatch, capsys):
          "config file must hold one JSON object"),
         (["gradcheck", "--config", str(large)],
          "configuration has 7266 parameters; the finite-difference check is capped at 5000"),
-        (["train", "--data", "six.fts"], "train dataset has 6 channels, config expects 16"),
+        (["train", "--data", "six.fts"], "training set has 6 channels, config expects 16"),
     ]:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("size", [0, 4, 27])
+def test_file_shorter_than_the_fts_header(tmp_path, monkeypatch, capsys, size):
+    """The first ``size`` bytes of an FTS1 file, short of its 28-byte
+    header: refused with the file length as the offset, in-process and
+    through ``eval`` (exit 1, one error line)."""
+    monkeypatch.chdir(tmp_path)
+    fts_write(synth_generate(2, 2, 6, 3, 3, seed=0), "full.fts")
+    (tmp_path / "short.fts").write_bytes((tmp_path / "full.fts").read_bytes()[:size])
+    message = f"truncated header: need 28 bytes, file has {size} (at byte {size})"
+    with pytest.raises(FtsParseError, match=f"^{re.escape(message)}$") as refused:
+        fts_read("short.fts")
+    assert refused.value.offset == size
+    save_checkpoint("model.ftsp", init_params(UNMIXED, seeded_rng(0)), UNMIXED)
+    assert main(["eval", "--data", "short.fts", "--ckpt", "model.ftsp"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
