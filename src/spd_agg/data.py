@@ -7,8 +7,8 @@ FTS1 dataset layout (little-endian throughout)::
     payload: num_samples x C*H*W float32, row-major (C, H, W) per sample
 
 Storage is float32, and a dataset stays float32 in memory: :func:`fts_read`
-returns a view of the file's bytes and :func:`synth_generate` fills a
-float32 array, so write -> read is bit-identical.  The pipeline widens
+returns a view of a private mapping of the file and :func:`synth_generate`
+fills a float32 array, so write -> read is bit-identical.  The pipeline widens
 each slice to float64 as it runs it, which is exact.  Integrity rules
 beyond raw shape consistency: at least one sample, every count >= 1,
 every label < num_classes, and ``num_classes == 1 + max(labels)``.  The
@@ -34,6 +34,7 @@ implies is refused before its payload is read.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 import zlib
@@ -123,18 +124,22 @@ def fts_write(dataset: FtsDataset, path) -> None:
 def fts_read(path) -> FtsDataset:
     """Parse and validate an FTS1 file.
 
-    The file is read into one writable buffer, and the samples are a
-    float32 view of its payload.  Raises :class:`FtsParseError` (with the
-    offending byte offset) on any malformed header, length mismatch, or
-    label/payload violation.
+    The file is mapped copy-on-write (``mmap.ACCESS_COPY``), and the
+    samples are a float32 view of its payload: nothing is copied until a
+    sample is written to, and a write changes the process's copy of the
+    page, never the file.  One caveat of the mapping: if another process
+    truncates the file while it is mapped, touching a page past the new
+    end kills this process with SIGBUS.  Raises :class:`FtsParseError`
+    (with the offending byte offset) on any malformed header, length
+    mismatch, or label/payload violation.
     """
     with open(path, "rb") as f:
-        buf = bytearray(os.fstat(f.fileno()).st_size)
-        del buf[f.readinto(buf):]
-    if len(buf) < _HEADER.size:
-        raise FtsParseError(
-            f"truncated header: need {_HEADER.size} bytes, file has {len(buf)}", offset=len(buf)
-        )
+        size = os.fstat(f.fileno()).st_size
+        if size < _HEADER.size:
+            raise FtsParseError(
+                f"truncated header: need {_HEADER.size} bytes, file has {size}", offset=size
+            )
+        buf = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_COPY)
     magic, version, n, c, h, w, num_classes = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise FtsParseError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
@@ -173,7 +178,8 @@ def fts_read(path) -> FtsDataset:
     samples = np.frombuffer(
         buf, dtype="<f4", count=n * c * h * w, offset=_HEADER.size + labels_bytes
     ).reshape(n, c, h, w)
-    if not np.isfinite(samples).all():
+    # min and max carry any NaN or infinity, without a payload-sized mask
+    if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
         i = int(np.nonzero(~np.isfinite(samples.reshape(n, -1)).all(axis=1))[0][0])
         raise FtsParseError(
             f"sample {i} contains non-finite values",

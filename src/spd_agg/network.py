@@ -109,8 +109,15 @@ AGGREGATORS = ("kernel", "covariance")
 #: hold across the slice: the input maps (C0 x N, widened from the stored
 #: samples one slice at a time), the aggregated maps (C x N) or the
 #: aggregated matrix (C x C).  Larger slices stop paying once a layer's
-#: stack leaves the cache, and they raise peak memory.
+#: stack leaves the cache, and they raise peak memory.  Below four
+#: samples, :func:`_slice_size` stacks up to four within 4 x this budget.
 SLICE_VALUES = 32_768
+
+
+#: glibc's mmap threshold as :func:`_pin_malloc_thresholds` pins it: just
+#: above the largest slice array (1 MiB), since glibc compares a request
+#: plus its chunk header (up to 16 bytes more) with the threshold.
+_MMAP_THRESHOLD = 4 * SLICE_VALUES * 8 + 32
 
 
 def _pin_malloc_thresholds() -> bool:
@@ -121,10 +128,12 @@ def _pin_malloc_thresholds() -> bool:
     from the kernel and unmaps it on free, so each such array faults in
     its pages anew; it raises the threshold only after freeing a larger
     mapped block, which a float32 dataset may never make.  A slice's
-    arrays reach :data:`SLICE_VALUES` float64 values (256 KiB), so the
-    threshold is pinned at four of them (1 MiB), and the free heap top
-    kept up to 32 (8 MiB), so that what one slice frees serves the next.
-    Without glibc this sets nothing.
+    stacked arrays reach ``4 * SLICE_VALUES`` float64 values (1 MiB; see
+    :func:`_slice_size`), and must stay below the threshold
+    (:data:`_MMAP_THRESHOLD`), else every slice maps them afresh; the
+    free heap top is kept up to 32 x :data:`SLICE_VALUES` values (8 MiB),
+    so that what one slice frees serves the next.  Without glibc this
+    sets nothing.
     """
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION")
@@ -134,7 +143,7 @@ def _pin_malloc_thresholds() -> bool:
         return False
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(-3, 4 * SLICE_VALUES * 8)  # M_MMAP_THRESHOLD
+    mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
     mallopt(-1, 32 * SLICE_VALUES * 8)  # M_TRIM_THRESHOLD
     return True
 
@@ -335,16 +344,13 @@ def mix_forward(x, params: MixParams) -> tuple[np.ndarray, MixTape]:
     """Per-position channel mixing followed by ReLU, for one (C, H, W)
     sample or a (B, C, H, W) stack.
 
-    out[:, p] = max(0, W x[:, p] + b) at every spatial position p.
+    out[:, p] = max(0, W x[:, p] + b) at every spatial position p.  A
+    channel count other than the weights' is refused by ``matmul``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (3, 4):
         raise ShapeMismatchError(
             f"mixer input must be (C, H, W) or (B, C, H, W), got shape {x.shape}"
-        )
-    if x.shape[-3] != params.weights.shape[1]:
-        raise ShapeMismatchError(
-            f"input has {x.shape[-3]} channels but mixer expects {params.weights.shape[1]}"
         )
     m0 = as_feature_matrix(x)
     pre = matmul(params.weights, m0) + params.bias[:, None]
@@ -508,9 +514,16 @@ def backward(tapes: PipelineTapes) -> dict[str, np.ndarray]:
 
 def _slice_size(config: PipelineConfig, positions: int) -> int:
     """Samples per slice at N = ``positions``: as many as keep the widest
-    per-sample array of the chain within :data:`SLICE_VALUES`, at least 1."""
+    per-sample array of the chain within :data:`SLICE_VALUES`, but at
+    least four where four fit in ``4 * SLICE_VALUES`` (as many as fit
+    where fewer do), and at least 1.  One paper-scale sample nearly fills
+    the budget, and one-sample slices pay every call of the chain per
+    sample.  Each of the three stacks :data:`SLICE_VALUES` counts thus
+    holds at most ``4 * SLICE_VALUES`` values, or one sample's where that
+    is more."""
     c0, c = config.in_channels, config.feature_channels
-    return max(1, SLICE_VALUES // max(c0 * positions, c * positions, c * c))
+    widest = max(c0 * positions, c * positions, c * c)
+    return max(1, SLICE_VALUES // widest, min(4, 4 * SLICE_VALUES // widest))
 
 
 def _cache_fits(config: PipelineConfig, samples: np.ndarray) -> bool:

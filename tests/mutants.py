@@ -94,7 +94,16 @@ MUTANTS = [
     Mutant("slice-values", "src/spd_agg/network.py",
            "SLICE_VALUES = 32_768", "SLICE_VALUES = 8_192", "tests/test_network.py",
            survives="sets how many samples a slice stacks; every slice size gives "
-                    "each sample the same bits"),
+                    "each sample the same bits (tests/test_slice_sizes.py pins the sizes)"),
+    Mutant("slice-floor", "src/spd_agg/network.py",
+           "min(4, 4 * SLICE_VALUES // widest)", "min(1, 4 * SLICE_VALUES // widest)",
+           "tests/test_network.py",
+           survives="sets how many samples a paper-scale slice stacks; every slice size "
+                    "gives each sample the same bits (tests/test_slice_sizes.py pins the "
+                    "sizes)"),
+    Mutant("mmap-threshold", "src/spd_agg/network.py",
+           "_MMAP_THRESHOLD = 4 * SLICE_VALUES * 8 + 32", "_MMAP_THRESHOLD = 4 * SLICE_VALUES * 8",
+           "tests/test_slice_sizes.py"),
     Mutant("block-add-values", "src/spd_agg/network.py",
            "_BLOCK_ADD_VALUES = 128", "_BLOCK_ADD_VALUES = 1", "tests/test_network.py",
            survives="picks one of two ordered sums that add in the same order"),

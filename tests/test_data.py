@@ -153,6 +153,15 @@ class TestFtsMemory:
         fts_write(float32_set, path)
         assert traced_peak(lambda: fts_read(path)) < 1.5 * path.stat().st_size
 
+    def test_mapped_read_peak_below_a_tenth_of_the_file(self, tmp_path):
+        # 4 MB of samples: the payload is mapped, not copied, and its
+        # non-finite check makes no payload-sized mask.
+        samples = seeded_rng(4).standard_normal((250, 16, 16, 16)).astype(np.float32)
+        path = tmp_path / "ds.fts"
+        fts_write(FtsDataset(samples, np.arange(250) % 2, 2), path)
+        assert path.stat().st_size > 4_000_000
+        assert traced_peak(lambda: fts_read(path)) < 0.1 * path.stat().st_size
+
     def test_float32_write_peak_below_half_the_payload(self, tmp_path, float32_set):
         peak = traced_peak(lambda: fts_write(float32_set, tmp_path / "ds.fts"))
         assert peak < 0.5 * float32_set.samples.nbytes

@@ -80,6 +80,23 @@ def spy_aggregate(monkeypatch) -> list:
     return calls
 
 
+def set_slice_samples(monkeypatch, step) -> list:
+    """Have ``train`` and ``evaluate_accuracy`` run slices of up to
+    ``step`` samples by replacing ``network._slice_size``, whatever
+    ``SLICE_VALUES`` and its floor of four samples would give.  Returns a
+    list that gets the sample count of each stack ``_aggregate`` runs, by
+    which a test checks that its slices had the size it names."""
+    monkeypatch.setattr(network_mod, "_slice_size", lambda config, positions: step)
+    sizes, true_aggregate = [], network_mod._aggregate
+
+    def counted(x, *args, **kwargs):
+        sizes.append(len(x))
+        return true_aggregate(x, *args, **kwargs)
+
+    monkeypatch.setattr(network_mod, "_aggregate", counted)
+    return sizes
+
+
 def assert_located(error, epoch, sample, layer):
     """The attributes of a ``NonFiniteError``, which its message names."""
     assert (error.epoch, error.sample, error.layer) == (epoch, sample, layer)
@@ -390,8 +407,8 @@ class TestTrain:
     @pytest.mark.parametrize("freeze", [False, True])
     def test_one_tangent_projection_per_minibatch(self, monkeypatch, freeze):
         # 16 samples in batches of 5: 4 minibatches in each of 4 epochs,
-        # each run in slices of 2 samples (widest array: 6 x 9 values).
-        monkeypatch.setattr(network_mod, "SLICE_VALUES", 2 * 6 * 9)
+        # each run in slices of 2 samples.
+        sizes = set_slice_samples(monkeypatch, 2)
         projected, stepped = [], []
 
         def spy_project(w, grad):
@@ -408,6 +425,7 @@ class TestTrain:
         pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
         tc = TrainConfig(epochs_per_stage=2, seed=10, batch_size=5, freeze_stiefel=freeze)
         train(tiny_dataset(seed=6), pipe, tc)
+        assert max(sizes) == 2
         calls = 0 if freeze else 16
         assert len(projected) == calls and len(stepped) == calls
         assert all(norm <= 1e-12 for norm in stepped), max(stepped)
@@ -610,12 +628,13 @@ class TestTrain:
             "non-finite values first appeared in: compressed matrix"
         )
         for step in (1, 3, 7):
-            monkeypatch.setattr(network_mod, "SLICE_VALUES", step * 36)
-            with pytest.raises(NonFiniteError) as caught:
+            with monkeypatch.context() as patch, pytest.raises(NonFiniteError) as caught:
+                sizes = set_slice_samples(patch, step)
                 train(
                     FtsDataset(samples, ds.labels, 2), pipe,
                     TrainConfig(epochs_per_stage=1, batch_size=7),
                 )
+            assert max(sizes) == step
             assert str(caught.value) == message, step
             assert_located(caught.value, 1, first, "compressed matrix")
 
@@ -762,10 +781,7 @@ def assert_cache_changes_no_bit(monkeypatch, pipe, shape, count=16, slice_sample
         for d, m in ((ds, count), (held_out, (count + 1) // 2))
     )
     if slice_samples is not None:
-        c = pipe.feature_channels
-        widest = max(pipe.in_channels * h * w, c * h * w, c * c)
-        monkeypatch.setattr(network_mod, "SLICE_VALUES", slice_samples * widest)
-        assert network_mod._slice_size(pipe, h * w) == slice_samples
+        sizes = set_slice_samples(monkeypatch, slice_samples)
     # A stage-2 rate that moves the mixer, so a stale cache would show.
     tc = TrainConfig(epochs_per_stage=2, seed=3, batch_size=5, lr_stage2=0.05)
     runs = []
@@ -779,6 +795,8 @@ def assert_cache_changes_no_bit(monkeypatch, pipe, shape, count=16, slice_sample
             )
         params, history = train(ds, pipe, tc, test_dataset=held_out)
         runs.append(([r.to_json_line() for r in history], params.blocks()))
+    if slice_samples is not None:
+        assert max(sizes) == slice_samples
     (lines, cached), (plain_lines, plain) = runs
     assert lines == plain_lines
     assert cached.keys() == plain.keys()
@@ -884,13 +902,14 @@ class TestEvaluateAccuracy:
 
     @pytest.mark.parametrize("count", [2, 7])
     def test_label_count_must_match_samples(self, monkeypatch, count):
-        # One sample per slice, the default at the eval_c64n196 shape:
-        # 2 labels for 5 samples would score 2 of them.
-        monkeypatch.setattr(network_mod, "SLICE_VALUES", 6 * 9)
+        # In slices of one sample, 2 labels for 5 samples would score 2
+        # of them; the set is refused before any slice runs.
+        sizes = set_slice_samples(monkeypatch, 1)
         params = init_params(SMALL, seeded_rng(0))
         samples = seeded_rng(1).standard_normal((5, 6, 3, 3))
         with pytest.raises(ValueError, match=f"^got {count} labels for 5 samples$"):
             evaluate_accuracy(samples, np.zeros(count, dtype=int), params, SMALL)
+        assert sizes == []
 
 
     @pytest.mark.parametrize("labels, bad", [([0.0, 0.5], "0.5"), ([np.nan, 1.0], "nan")])
@@ -944,7 +963,7 @@ class TestEvaluateAccuracy:
     def test_float32_set_is_widened_one_slice_at_a_time(self, monkeypatch):
         # 999 samples of 6 x 4 x 4 maps in slices of 8: a float64 copy of
         # the float32 set would take 767 KB, twice what the set takes.
-        monkeypatch.setattr(network_mod, "SLICE_VALUES", 8 * 96)
+        sizes = set_slice_samples(monkeypatch, 8)
         ds = synth_generate(num_classes=3, per_class=333, c0=6, h=4, w=4, seed=1)
         samples = ds.samples.astype(np.float32)
         params = random_head_params(SMALL, seeded_rng(2))
@@ -954,6 +973,7 @@ class TestEvaluateAccuracy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert max(sizes) == 8
         assert peak < samples.nbytes / 2
 
 
@@ -1087,11 +1107,12 @@ class TestBatchedChain:
     def test_training_independent_of_slice_size(self, monkeypatch, pipe):
         ds = tiny_dataset(seed=3)
         tc = TrainConfig(epochs_per_stage=2, seed=4, batch_size=7)
-        widest = max(pipe.in_channels, pipe.feature_channels) * 9
         runs = []
         for step in (1, 3, 7):
-            monkeypatch.setattr(network_mod, "SLICE_VALUES", step * widest)
-            params, history = train(ds, pipe, tc, test_dataset=ds)
+            with monkeypatch.context() as patch:
+                sizes = set_slice_samples(patch, step)
+                params, history = train(ds, pipe, tc, test_dataset=ds)
+            assert max(sizes) == step
             runs.append(([h.to_json_line() for h in history], params))
         for lines, params in runs[1:]:
             assert lines == runs[0][0]
@@ -1293,7 +1314,7 @@ class TestWorkers:
             in_channels=6, mixed_channels=0, transform_dim=3, num_classes=2,
             aggregator="covariance",
         )
-        monkeypatch.setattr(network_mod, "SLICE_VALUES", 2 * 36)
+        sizes = set_slice_samples(monkeypatch, 2)
         monkeypatch.setattr(network_mod, "WORKERS", workers)
         ds = tiny_dataset(seed=4, h=2, w=2)
         rng = seeded_rng(0)
@@ -1313,6 +1334,7 @@ class TestWorkers:
                 train(ds, pipe, tc, test_dataset=bad)
             else:
                 train(bad, pipe, tc)
+        assert max(sizes) == 2
         assert_located(caught.value, 1, first, "input feature tensor")
 
 

@@ -2,7 +2,11 @@
 with the exception type and message it names."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,10 @@ CASES = {
         lambda: mix_forward(np.zeros((6, 9)), init_params(MIXED, seeded_rng(0)).mix),
         ShapeMismatchError, "mixer input must be (C, H, W) or (B, C, H, W), got shape (6, 9)",
     ),
+    "mix-forward-channels": (
+        lambda: mix_forward(np.zeros((5, 3, 3)), init_params(MIXED, seeded_rng(0)).mix),
+        ShapeMismatchError, "inner dimensions differ: 5x6 times 5x9",
+    ),
     "mix-backward-grad": (
         lambda: mix_backward(_mix_tape(), np.zeros((5, 8))),
         ShapeMismatchError, "upstream gradient shape (5, 8) does not match (5, 9)",
@@ -197,3 +205,40 @@ def test_file_shorter_than_the_fts_header(tmp_path, monkeypatch, capsys, size):
     save_checkpoint("model.ftsp", init_params(UNMIXED, seeded_rng(0)), UNMIXED)
     assert main(["eval", "--data", "short.fts", "--ckpt", "model.ftsp"]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+#: Paths that hold no FTS1 file, each as a function of a scratch
+#: directory, with what ``fts_read`` raises for it.
+NOT_FTS = {
+    "empty": (lambda d: _written(d, b""), FtsParseError, "file has 0"),
+    "five-bytes": (lambda d: _written(d, b"FTS1\x01"), FtsParseError, "file has 5"),
+    "directory": (lambda d: d, IsADirectoryError, "Is a directory"),
+    "dev-null": (lambda d: os.devnull, FtsParseError, "file has 0"),
+}
+
+
+def _written(directory, data: bytes) -> str:
+    path = directory / "data.fts"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("make, error, fragment", NOT_FTS.values(), ids=NOT_FTS.keys())
+def test_mapped_read_refuses_what_is_no_fts_file(tmp_path, make, error, fragment):
+    """``fts_read`` refuses each path before it maps anything, and
+    ``spd-agg eval`` on it exits 1 with one error line, in a fresh
+    process with every warning an error."""
+    path = make(tmp_path)
+    with pytest.raises(error, match=re.escape(fragment)):
+        fts_read(path)
+    save_checkpoint(tmp_path / "model.ftsp", init_params(UNMIXED, seeded_rng(0)), UNMIXED)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "spd_agg.cli", "eval", "--data", str(path),
+         "--ckpt", str(tmp_path / "model.ftsp")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error"},
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+    assert fragment in done.stderr and "Traceback" not in done.stderr
