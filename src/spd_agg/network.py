@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import functools
 import json
 import math
 import os
@@ -105,33 +106,35 @@ DECAY_FACTOR = 10.0
 #: The aggregation layers, in the order of their FTSP checkpoint codes.
 AGGREGATORS = ("kernel", "covariance")
 
-#: Float64 values (256 KiB) the widest per-sample array of a slice may
-#: hold across the slice: the input maps (C0 x N, widened from the stored
-#: samples one slice at a time), the aggregated maps (C x N) or the
-#: aggregated matrix (C x C).  Larger slices stop paying once a layer's
-#: stack leaves the cache, and they raise peak memory.  Below four
+#: Float64 values (512 KiB) the widest per-sample array of a slice may
+#: hold across the slice (:func:`_widest_array`).  Larger slices stop
+#: paying once a layer's stack leaves the cache (2 MiB of L2 per core on
+#: the machine this was sized on), and they raise peak memory.  Below four
 #: samples, :func:`_slice_size` stacks up to four within 4 x this budget.
-SLICE_VALUES = 32_768
+SLICE_VALUES = 65_536
 
 
 #: glibc's mmap threshold as :func:`_pin_malloc_thresholds` pins it: just
-#: above the largest slice array (1 MiB), since glibc compares a request
+#: above the largest slice array (2 MiB), since glibc compares a request
 #: plus its chunk header (up to 16 bytes more) with the threshold.
 _MMAP_THRESHOLD = 4 * SLICE_VALUES * 8 + 32
 
 
+@functools.cache
 def _pin_malloc_thresholds() -> bool:
     """Have glibc serve a slice's arrays from its heap, not fresh pages;
-    returns whether it did.
+    returns whether it did.  :class:`_Workers` calls this before the
+    first slice of the process runs, so importing the package changes no
+    allocator setting; the cache makes later calls free.
 
     glibc maps every block above its mmap threshold (128 KiB at start)
     from the kernel and unmaps it on free, so each such array faults in
     its pages anew; it raises the threshold only after freeing a larger
     mapped block, which a float32 dataset may never make.  A slice's
-    stacked arrays reach ``4 * SLICE_VALUES`` float64 values (1 MiB; see
+    stacked arrays reach ``4 * SLICE_VALUES`` float64 values (2 MiB; see
     :func:`_slice_size`), and must stay below the threshold
     (:data:`_MMAP_THRESHOLD`), else every slice maps them afresh; the
-    free heap top is kept up to 32 x :data:`SLICE_VALUES` values (8 MiB),
+    free heap top is kept up to 32 x :data:`SLICE_VALUES` values (16 MiB),
     so that what one slice frees serves the next.  Without glibc this
     sets nothing.
     """
@@ -147,8 +150,6 @@ def _pin_malloc_thresholds() -> bool:
     mallopt(-1, 32 * SLICE_VALUES * 8)  # M_TRIM_THRESHOLD
     return True
 
-
-_MALLOC_PINNED = _pin_malloc_thresholds()
 
 #: Threads that :class:`_Workers` runs slices on: one per CPU of the
 #: process's affinity mask, or of the machine where there is no such mask.
@@ -512,17 +513,30 @@ def backward(tapes: PipelineTapes) -> dict[str, np.ndarray]:
     return grads
 
 
-def _slice_size(config: PipelineConfig, positions: int) -> int:
+def _widest_array(config: PipelineConfig, positions: int, train_mix: bool = False) -> int:
+    """Values per sample of the widest array a slice stacks at N =
+    ``positions``: the input maps (C0 x N, widened from the stored samples
+    one slice at a time), the aggregated maps (C x N), the aggregated
+    matrix (C x C) and, in a stage that trains the mixer (``train_mix``),
+    the mixer's weight gradient (C x C0), which ``mix_backward`` stacks
+    per sample."""
+    c0, c = config.in_channels, config.feature_channels
+    arrays = [c0 * positions, c * positions, c * c]
+    if train_mix:
+        arrays.append(c * c0)
+    return max(arrays)
+
+
+def _slice_size(config: PipelineConfig, positions: int, train_mix: bool = False) -> int:
     """Samples per slice at N = ``positions``: as many as keep the widest
-    per-sample array of the chain within :data:`SLICE_VALUES`, but at
-    least four where four fit in ``4 * SLICE_VALUES`` (as many as fit
-    where fewer do), and at least 1.  One paper-scale sample nearly fills
-    the budget, and one-sample slices pay every call of the chain per
-    sample.  Each of the three stacks :data:`SLICE_VALUES` counts thus
+    per-sample array (:func:`_widest_array`) within :data:`SLICE_VALUES`,
+    but at least four where four fit in ``4 * SLICE_VALUES`` (as many as
+    fit where fewer do), and at least 1.  One paper-scale sample fills
+    over a quarter of the budget, and one-sample slices pay every call of
+    the chain per sample.  Each stack :func:`_widest_array` counts thus
     holds at most ``4 * SLICE_VALUES`` values, or one sample's where that
     is more."""
-    c0, c = config.in_channels, config.feature_channels
-    widest = max(c0 * positions, c * positions, c * c)
+    widest = _widest_array(config, positions, train_mix)
     return max(1, SLICE_VALUES // widest, min(4, 4 * SLICE_VALUES // widest))
 
 
@@ -549,19 +563,18 @@ class _Workers:
     thread runs each item in a copy of the caller's context, so the
     caller's ``np.errstate`` holds there too.  numpy releases the
     interpreter lock in its products and large elementwise loops, which is
-    where the threads overlap.  A map uses at most one thread per two
-    items: with one item per thread, a thread that wakes late costs as
-    much as the second thread gains, as the two slices of a criterion-08
-    evaluation showed.  So a map of fewer than four items runs on the
-    caller alone, and a block without a larger one neither starts a
-    thread nor imports ``concurrent.futures``.  The pool stops when the
-    block exits.
+    where the threads overlap.  A map uses one thread per item, up to
+    :data:`WORKERS`, so a map of one item runs on the caller alone, and a
+    block without a larger one neither starts a thread nor imports
+    ``concurrent.futures``.  The pool stops when the block exits.
+    Entering a block pins the allocator (:func:`_pin_malloc_thresholds`).
     """
 
     def __init__(self):
         self._pool = None
 
     def __enter__(self) -> _Workers:
+        _pin_malloc_thresholds()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -572,7 +585,7 @@ class _Workers:
         """``[fn(item) for item in items]``.  Once an item raises, no thread
         takes another; after every thread has stopped, the error of the
         first item in order to raise is raised here."""
-        threads = min(WORKERS, len(items) // 2)
+        threads = min(WORKERS, len(items))
         if threads > 1 and self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -760,6 +773,8 @@ def train(
     the records, and is the only one whose :func:`backward` starts below
     the compression; its slices keep the prefix tapes, without ``x``.
 
+    A training slice holds at most the batch size, and in a stage that
+    trains the mixer :func:`_slice_size` counts its weight gradient too.
     The slices of one minibatch, and of one held-out evaluation, run on
     up to :data:`WORKERS` threads (:class:`_Workers`).  The calling thread
     takes their losses, correct counts and gradient sums in sample order,
@@ -776,8 +791,7 @@ def train(
     labels = dataset.labels
     n = len(labels)
     names = ("sample", "held-out sample")
-    steps = [_slice_size(pipeline, ds.shape[1] * ds.shape[2]) for ds in sets]
-    step = min(tc.batch_size, steps[0])
+    positions = [ds.shape[1] * ds.shape[2] for ds in sets]
     fits = all(_cache_fits(pipeline, ds.samples) for ds in sets)
     # Per sample of each set while the prefix is frozen: the aggregated
     # matrix where it fits, else the kernel bandwidth.  The first epoch of
@@ -819,6 +833,7 @@ def train(
             best_loss = math.inf
             bad_epochs = 0
             train_mix = params.mix is not None and stage == 2
+            step = min(tc.batch_size, _slice_size(pipeline, positions[0], train_mix))
             if train_mix:
                 frozen = None
 
@@ -894,7 +909,7 @@ def train(
                     test_acc = _accuracy(
                         lambda ids: _classes(aggregated(1, ids)[0], params, pipeline),
                         sets[1].labels,
-                        steps[1],
+                        _slice_size(pipeline, positions[1]),
                         workers,
                         names[1],
                         global_epoch,

@@ -92,7 +92,7 @@ MUTANTS = [
            "weights=np.zeros(params.head.weights.shape),",
            "tests/test_network.py"),
     Mutant("slice-values", "src/spd_agg/network.py",
-           "SLICE_VALUES = 32_768", "SLICE_VALUES = 8_192", "tests/test_network.py",
+           "SLICE_VALUES = 65_536", "SLICE_VALUES = 32_768", "tests/test_network.py",
            survives="sets how many samples a slice stacks; every slice size gives "
                     "each sample the same bits (tests/test_slice_sizes.py pins the sizes)"),
     Mutant("slice-floor", "src/spd_agg/network.py",
@@ -112,6 +112,9 @@ MUTANTS = [
            "tests/test_network.py",
            survives="sets how many threads run slices; the caller reduces their "
                     "results in sample order"),
+    Mutant("thread-per-slice", "src/spd_agg/network.py",
+           "min(WORKERS, len(items))", "min(WORKERS, len(items) // 2)",
+           "tests/test_network.py"),
 ]
 
 

@@ -86,7 +86,7 @@ def set_slice_samples(monkeypatch, step) -> list:
     ``SLICE_VALUES`` and its floor of four samples would give.  Returns a
     list that gets the sample count of each stack ``_aggregate`` runs, by
     which a test checks that its slices had the size it names."""
-    monkeypatch.setattr(network_mod, "_slice_size", lambda config, positions: step)
+    monkeypatch.setattr(network_mod, "_slice_size", lambda config, positions, train_mix=False: step)
     sizes, true_aggregate = [], network_mod._aggregate
 
     def counted(x, *args, **kwargs):
@@ -1206,17 +1206,30 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("items", [1, 2, 3])
-    def test_fewer_than_two_items_per_thread_run_on_the_caller(self, monkeypatch, workers, items):
-        # Without concurrent.futures up to three items still run, on the
-        # caller; four need it.
+    def test_one_thread_per_item_up_to_workers(self, monkeypatch, workers, items):
+        # Each item waits until min(workers, items) threads hold one, so
+        # the map must start that many.  One item runs on the caller
+        # without concurrent.futures; two need it.
         monkeypatch.setattr(network_mod, "WORKERS", workers)
-        monkeypatch.setitem(sys.modules, "concurrent.futures", None)
-        caller = threading.get_ident()
-        assert _map(lambda i: (i, threading.get_ident()), list(range(items))) == [
-            (i, caller) for i in range(items)
-        ]
-        with pytest.raises(ImportError):
-            _map(abs, [-3, -4, -5, -6])
+        if items == 1:
+            monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+        want = min(workers, items)
+        lock, all_started, threads = threading.Lock(), threading.Event(), set()
+
+        def run(i):
+            with lock:
+                threads.add(threading.get_ident())
+                if len(threads) == want:
+                    all_started.set()
+            assert all_started.wait(10.0)
+            return i
+
+        assert _map(run, list(range(items))) == list(range(items))
+        assert len(threads) == want
+        if items == 1:
+            assert threads == {threading.get_ident()}
+            with pytest.raises(ImportError):
+                _map(abs, [-3, -4])
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (3, 4)])
@@ -1339,40 +1352,84 @@ class TestWorkers:
 
 
 #: Minor page faults (``getrusage``) the child of
-#: ``test_slices_reuse_heap_pages`` may take inside one ``train`` call.
-#: With the allocator pin it takes about 900 on 2 CPUs; without it, each
-#: slice array is mapped afresh, and it took 4,000-8,000.
-TRAIN_FAULT_BOUND = 2500
+#: ``test_slices_reuse_heap_pages`` may take inside one ``train`` call, on
+#: 2 CPUs.  C = 64 maps of N = 4 took about 1,300 with the allocator pin
+#: and 9,500-10,000 without it, each slice array mapped afresh.  The C0 =
+#: 512 mixer took 2,000-2,500, and 7,400 with its weight gradient left
+#: out of the slice size (14,000 with 8-sample slices and a 1 MiB pin).
+TRAIN_FAULT_BOUND = 4000
 
 _FAULT_CHILD = """
 import os
 import resource
+import sys
 if hasattr(os, "sched_setaffinity"):  # at most 2 workers: the caller and 1 pool thread
     os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
 from spd_agg import PipelineConfig, TrainConfig, split_by_class, synth_generate, train
-ds = synth_generate(num_classes=2, per_class=150, c0=64, h=2, w=2, seed=7)
+c0, mixed = int(sys.argv[1]), int(sys.argv[2])
+ds = synth_generate(num_classes=2, per_class=150, c0=c0, h=2, w=2, seed=7)
 train_ds, test_ds = split_by_class(ds, 100)
-pipe = PipelineConfig(in_channels=64, mixed_channels=0, transform_dim=32, num_classes=2)
+pipe = PipelineConfig(in_channels=c0, mixed_channels=mixed, transform_dim=32, num_classes=2)
 tc = TrainConfig(seed=7, lr_stage1=1.0, lr_stage2=0.1, epochs_per_stage=1, batch_size=32)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 train(train_ds, pipe, tc, test_dataset=test_ds)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
+#: A child that records glibc ``mallopt`` calls, passed on to glibc: none
+#: at import, the two pins at the first evaluation, none after.
+_PIN_CHILD = """
+import ctypes
+import types
+libc_mallopt = ctypes.CDLL(None).mallopt
+calls = []
+def mallopt(param, value):
+    calls.append((param, value))
+    return libc_mallopt(param, value)
+ctypes.CDLL = lambda name: types.SimpleNamespace(mallopt=mallopt)
+import spd_agg
+print(calls)
+pipe = spd_agg.PipelineConfig(in_channels=4, mixed_channels=0, transform_dim=2, num_classes=2)
+params = spd_agg.init_params(pipe, spd_agg.seeded_rng(0))
+samples = spd_agg.seeded_rng(1).standard_normal((3, 4, 2, 2))
+for _ in range(2):
+    spd_agg.evaluate_accuracy(samples, [0, 1, 0], params, pipe)
+    print(calls)
+"""
 
-class TestAllocator:
-    @pytest.mark.skipif(
-        not network_mod._MALLOC_PINNED, reason="the allocator is pinned only under glibc"
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _run_child(code: str, *args) -> str:
+    """The standard output of ``code`` run by a fresh interpreter, as
+    ``spd-agg`` runs, on this checkout's ``src/``."""
+    src = Path(network_mod.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
     )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator is pinned only under glibc")
+class TestAllocator:
     def test_slices_reuse_heap_pages(self):
-        # A fresh process, as `spd-agg train` is: C = 64 maps of N = 4 in
-        # 8-sample slices, whose 256 KiB arrays sit above glibc's initial
-        # 128 KiB mmap threshold.
-        src = Path(network_mod.__file__).resolve().parents[1]
-        run = subprocess.run(
-            [sys.executable, "-c", _FAULT_CHILD],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert run.returncode == 0, run.stderr
-        assert int(run.stdout) < TRAIN_FAULT_BOUND
+        # C = 64 maps of N = 4 in 16-sample slices, whose 512 KiB arrays
+        # sit above glibc's initial 128 KiB mmap threshold.  With a C0 =
+        # 512 mixer, stage 2 stacks 256 KiB weight gradients per sample, in
+        # 4-sample slices.
+        for c0, mixed in ((64, 0), (512, 64)):
+            assert int(_run_child(_FAULT_CHILD, c0, mixed)) < TRAIN_FAULT_BOUND, (c0, mixed)
+
+    def test_pinned_when_slices_first_run_not_at_import(self):
+        pins = [(-3, network_mod._MMAP_THRESHOLD), (-1, 32 * network_mod.SLICE_VALUES * 8)]
+        assert _run_child(_PIN_CHILD).splitlines() == [
+            "[]", str(pins), str(pins)
+        ]
