@@ -184,13 +184,15 @@ class DenseGrads(NamedTuple):
 
 def dense_logits(v: np.ndarray, params: DenseParams) -> np.ndarray:
     """Class scores W v + b of a vector, or of each vector of a stack,
-    through the row product v W^T."""
+    as one product W V^T of the weights by the stack's vectors as columns,
+    so the stack, not the class count, is the inner loop.  Each score adds
+    the products of the row product v W^T in the same order."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim < 1 or v.shape[-1] != params.weights.shape[1]:
-        raise ShapeMismatchError(
-            f"input length {v.shape} does not match weight columns ({params.weights.shape[1]},)"
-        )
-    return matmul(v[..., None, :], params.weights.T)[..., 0, :] + params.bias
+    width = params.weights.shape[1]
+    if v.ndim < 1 or v.shape[-1] != width:
+        raise ShapeMismatchError(f"input length {v.shape} does not match weight columns ({width},)")
+    scores = matmul(params.weights, v.reshape(-1, width).T).T
+    return scores.reshape(v.shape[:-1] + scores.shape[-1:]) + params.bias
 
 
 def dense_softmax_ce(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError
-from .linalg import matmul, sym_eigvals
+from .linalg import gram, matmul, sym_eigvals
 
 __all__ = [
     "KernelTape",
@@ -132,11 +132,11 @@ def kernel_forward(x, sigma: float | np.ndarray | None = None) -> tuple[np.ndarr
         raise NonFiniteError(
             "kernel aggregation input contains non-finite values", layer="kernel aggregation input"
         )
-    gram = matmul(m, m.swapaxes(-1, -2))
-    sq_norms = np.diagonal(gram, axis1=-2, axis2=-1).copy()
-    gram *= 2.0
+    inner = gram(m)
+    sq_norms = np.diagonal(inner, axis1=-2, axis2=-1).copy()
+    inner *= 2.0
     k = np.add(sq_norms[..., :, None], sq_norms[..., None, :])
-    k -= gram
+    k -= inner
     # Rounding can push squared distances a hair below zero; clamp so the
     # kernel never exceeds 1.
     np.maximum(k, 0.0, out=k)
@@ -200,7 +200,7 @@ def covariance_forward(x) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFiniteError("covariance input contains non-finite values", layer="covariance input")
     centered = m - m.mean(axis=-1, keepdims=True)
-    return matmul(centered, centered.swapaxes(-1, -2)) / (n - 1)
+    return gram(centered) / (n - 1)
 
 
 def covariance_backward(m: np.ndarray, grad_cov: np.ndarray) -> np.ndarray:

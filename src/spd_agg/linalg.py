@@ -8,6 +8,7 @@ BLAS-level throughput.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import NonFiniteError, ShapeMismatchError, SingularMatrixError
 __all__ = [
     "QrFactors",
     "matmul",
+    "gram",
     "symmetrize",
     "qr_reduced",
     "sym_eigvals",
@@ -29,6 +31,10 @@ QR_RANK_TOL = 1e-12
 
 #: Allowed asymmetry ||a - a^T||_F for the symmetric eigensolver.
 SYM_TOL = 1e-10
+
+#: :func:`matmul` runs a 2-D left operand times a stack whose rows are
+#: shorter than this as one product over the stack laid side by side.
+FOLD_ROWS = 64
 
 
 class QrFactors(NamedTuple):
@@ -57,7 +63,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     in ``tests/test_linalg.py`` fail on a numpy build whose kernels do.
     Axes before the last two are stack axes that broadcast as in
     ``np.matmul``; a stacked product equals the products of its matrices
-    bit for bit.
+    bit for bit.  A 2-D ``a`` times a stack whose rows are shorter than
+    :data:`FOLD_ROWS` is one product ``a`` times the stack laid side by
+    side, a contiguous (k, stack, n) copy: the samples join j in the inner
+    loop, and k stays outside it, so each entry adds its terms in the
+    same order.  The result is a view of it with the stack axes in front.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -66,8 +76,29 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, k), (k2, n) = a.shape[-2:], b.shape[-2:]
     if k != k2:
         raise ShapeMismatchError(f"inner dimensions differ: {m}x{k} times {k2}x{n}")
-    b = np.concatenate((b, b), axis=-1) if n == 1 else np.ascontiguousarray(b)
-    return np.einsum("...ik,...kj->...ij", np.ascontiguousarray(a), b)[..., :n]
+    if n == 1:
+        b = np.concatenate((b, b), axis=-1)
+    a = np.ascontiguousarray(a)
+    if a.ndim == 2 and b.ndim > 2 and n < FOLD_ROWS:
+        side = np.ascontiguousarray(np.moveaxis(b, -2, 0))
+        return np.moveaxis(np.einsum("ik,k...j->i...j", a, side), 0, -2)[..., :n]
+    return np.einsum("...ik,...kj->...ij", a, np.ascontiguousarray(b))[..., :n]
+
+
+def gram(m: np.ndarray) -> np.ndarray:
+    """``M M^T`` of a matrix, or of each matrix of a stack, with the bits
+    of ``matmul(m, m.swapaxes(-1, -2))``.  A stack of at least 2C samples
+    (M is C x N) runs as one ``np.einsum`` on a samples-last contiguous
+    copy (C, N, stack): the samples are the inner loop and k stays outside
+    it, so each entry adds its k terms in order from zero.  Smaller stacks,
+    whose inner loop would be too short to pay for the copy, and one
+    matrix, go through :func:`matmul`.  The result is a view with the
+    stack axes in front."""
+    m = np.asarray(m, dtype=np.float64)
+    if math.prod(m.shape[:-2]) < 2 * m.shape[-2]:
+        return matmul(m, m.swapaxes(-1, -2))
+    last = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+    return np.moveaxis(np.einsum("ik...,jk...->ij...", last, last), (0, 1), (-2, -1))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

@@ -111,6 +111,11 @@ def transform_param_grad_formula(t, g):
     return 2.0 * matmul(t.swapaxes(-1, -2), g)
 
 
+def dense_logits_row_formula(v, weights, bias):
+    """W v + b as the row product v W^T, then plus the bias."""
+    return matmul(v[..., None, :], weights.T)[..., 0, :] + bias
+
+
 def dense_input_grad_formula(weights, dz):
     """W^T dz as one rank-1 update per class."""
     return matmul(weights.T, dz[..., :, None])[..., 0]

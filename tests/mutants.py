@@ -64,6 +64,17 @@ MUTANTS = [
            "tests/test_kernel.py"),
     Mutant("power-eps", "src/spd_agg/head.py",
            "POWER_EPS = 1e-8", "POWER_EPS = 1e-6", "tests/test_head.py"),
+    Mutant("fold-off", "src/spd_agg/linalg.py",
+           "if a.ndim == 2 and b.ndim > 2 and n < FOLD_ROWS:", "if False:",
+           "tests/test_slice_sizes.py"),
+    Mutant("fold-rows", "src/spd_agg/linalg.py",
+           "FOLD_ROWS = 64", "FOLD_ROWS = 256", "tests/test_slice_sizes.py"),
+    Mutant("gram-samples-innermost-off", "src/spd_agg/linalg.py",
+           "if math.prod(m.shape[:-2]) < 2 * m.shape[-2]:", "if True:",
+           "tests/test_slice_sizes.py"),
+    Mutant("gram-stack-rule", "src/spd_agg/linalg.py",
+           "if math.prod(m.shape[:-2]) < 2 * m.shape[-2]:",
+           "if math.prod(m.shape[:-2]) < 2:", "tests/test_slice_sizes.py"),
     Mutant("qr-rank-tol", "src/spd_agg/linalg.py",
            "QR_RANK_TOL = 1e-12", "QR_RANK_TOL = 1e-14", "tests/test_linalg.py"),
     Mutant("sym-tol", "src/spd_agg/linalg.py",

@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 import spd_agg
+import spd_agg.kernel as kernel_mod
 import spd_agg.network as network_mod
 from spd_agg import (
     FtsDataset,
     FtsParseError,
+    PipelineConfig,
     certify,
     covariance_forward,
     fts_read,
@@ -390,6 +392,52 @@ def test_golden_metrics_at_worker_count(golden_files, monkeypatch, workers):
         if not _same_bytes(out, GOLDEN / name):
             differ.append(name)
     assert differ == []
+
+
+#: Slice size per golden run for :func:`test_golden_metrics_from_pool_threads`:
+#: criterion 08 cuts each 32-sample batch into 24 + 8 and its 100 held-out
+#: samples into 4 x 24 + 4, so its Grams fall on both sides of the 2C = 24
+#: stack rule of ``linalg.gram``; the small runs cut their 8-sample
+#: batches and 20 held-out samples into slices of 4.
+SMALL_SLICES = {"criterion_08_seed7": 24, "covariance_relu_mixer": 4, "kernel_c32_n4": 4,
+                "kernel_mixer_no_norms": 4}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_golden_metrics_from_pool_threads(golden_files, monkeypatch, workers):
+    """Every golden run writes the golden bytes with ``workers`` threads
+    and ``SLICE_VALUES`` lowered so that its training batches and its
+    held-out set each run as several slices, on the pool threads too."""
+    monkeypatch.setattr(network_mod, "WORKERS", workers)
+    maps, grams = [], []
+    workers_map, gram = network_mod._Workers.map, kernel_mod.gram
+
+    def map_spy(self, fn, items):
+        maps.append(len(items))
+        return workers_map(self, fn, items)
+
+    def gram_spy(m):
+        grams.append(m.shape[:-1])
+        return gram(m)
+
+    monkeypatch.setattr(network_mod._Workers, "map", map_spy)
+    monkeypatch.setattr(kernel_mod, "gram", gram_spy)
+    root, files = golden_files
+    differ = []
+    for name, paths in files.items():
+        data, _, config = GOLDEN_RUNS[name]
+        fields = {k: v for k, v in config.items() if k in PipelineConfig.__dataclass_fields__}
+        pipeline = PipelineConfig(**{"num_classes": data["num_classes"], **fields})
+        widest = network_mod._widest_array(pipeline, data["h"] * data["w"])
+        monkeypatch.setattr(network_mod, "SLICE_VALUES", SMALL_SLICES[name] * widest)
+        del maps[:]
+        out = root / f"{name}.pool{workers}"
+        assert main(_train_args(paths, out)) == 0
+        assert {2, 5} <= set(maps), name  # slices per batch and per held-out set
+        if not _same_bytes(out, GOLDEN / name):
+            differ.append(name)
+    assert differ == []
+    assert {(24, 12), (8, 12)} <= set(grams)  # stacks on both sides of 2C
 
 
 def test_criterion_10_fts_robustness(tmp_path):

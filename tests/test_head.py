@@ -23,6 +23,7 @@ from _oracles import (
     adjoint_gap,
     central_diff,
     dense_input_grad_formula,
+    dense_logits_row_formula,
     random_symmetric,
     rel_err,
     vectorize_backward_formula,
@@ -342,6 +343,24 @@ class TestDenseSoftmaxCe:
         _, grads = softmax_ce(v, params, label)
         ref = dense_input_grad_formula(weights, grads.bias)
         assert grads.v.shape == ref.shape and grads.v.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "stack, classes, head_dim", [((), 2, 36), ((1,), 2, 36), ((100,), 2, 36), ((16,), 2, 528),
+                                     ((2, 3), 3, 10), ((), 1, 5), ((4,), 1, 1)]
+    )
+    def test_logits_bits_match_row_product(self, stack, classes, head_dim):
+        # W V^T adds the products of each score in the order of v W^T,
+        # also across zero and -0.0 weights and inputs.
+        rng = seeded_rng(29)
+        weights = rng.standard_normal((classes, head_dim))
+        weights[0, ::3] = -0.0
+        weights[-1, 1::3] = 0.0
+        params = DenseParams(weights=weights, bias=rng.standard_normal(classes))
+        v = rng.standard_normal(stack + (head_dim,))
+        v[..., ::4] = -0.0
+        got = dense_logits(v, params)
+        ref = dense_logits_row_formula(v, weights, params.bias)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_all_gradients_match_finite_differences(self):
         rng = seeded_rng(8)

@@ -362,6 +362,40 @@ class TestBitsAgainstFormulas:
         assert 0 < peak <= budget < c * c * n * 8
 
 
+def gram_rule_inputs(c, n, seed):
+    """Stacks of 2C - 1 samples (through ``matmul``) and 2C samples (with
+    the samples innermost) of C maps over N positions: ReLU-clipped, with
+    the first two maps coincident and the third negated to hold -0.0."""
+    rng = seeded_rng(seed)
+    for stack in (2 * c - 1, 2 * c):
+        x = np.maximum(rng.standard_normal((stack, c, 1, n)), 0.0)
+        x[:, 1] = x[:, 0]
+        x[:, 2] *= -1.0
+        assert np.signbit(x[:, 2][x[:, 2] == 0.0]).all()
+        yield x
+
+
+class TestGramRule:
+    """Both sides of the 2C stack rule of ``linalg.gram`` give each sample
+    the bits it gets on its own."""
+
+    @pytest.mark.parametrize("c, n", [(12, 36), (5, 16)])
+    def test_kernel(self, c, n):
+        for x in gram_rule_inputs(c, n, 41):
+            k, tape = kernel_forward(x)
+            for i, sample in enumerate(x):
+                k_i, tape_i = kernel_forward(sample)
+                assert same_bits(k[i], k_i) and same_bits(tape.sigma[i], tape_i.sigma)
+            assert (k[:, 0, 1] == 1.0).all()
+
+    @pytest.mark.parametrize("c, n", [(12, 36), (5, 16)])
+    def test_covariance(self, c, n):
+        for x in gram_rule_inputs(c, n, 42):
+            cov = covariance_forward(x)
+            for i, sample in enumerate(x):
+                assert same_bits(cov[i], covariance_forward(sample))
+
+
 class TestCovariance:
     def test_constant_features_give_zero(self):
         x = np.ones((3, 2, 2))

@@ -12,6 +12,7 @@ from spd_agg import (
     QrFactors,
     ShapeMismatchError,
     SingularMatrixError,
+    gram,
     matmul,
     qr_reduced,
     seeded_rng,
@@ -87,7 +88,22 @@ def _layout_cases():
     for k in (1, 2, 3, 5, 528):
         weights = draw((k, 6))  # the dense head's W^T dz: k classes
         cases.append((f"one_column_k{k}", weights.T, draw((3, k, 1))))
-    specials = ("gram", "gram_c64n4", "cov_backward", "wt_times_stack", "one_column_k5")
+    # A 2-D left operand times a stack folds the stack side by side while
+    # the stack's rows are shorter than FOLD_ROWS = 64.
+    cases += [
+        ("fold_one_column", mixer, draw((5, 16, 1))),
+        ("fold_stack_of_one", mixer, draw((1, 16, 36))),
+        ("fold_rows_63", mixer, draw((3, 16, 63))),
+        ("stacked_rows_64", mixer, draw((3, 16, 64))),
+        ("fold_two_stack_axes", w, draw((2, 3, 8, 7))),
+        ("fold_transposed_stack", mixer, draw((4, 36, 16)).swapaxes(-1, -2)),
+        ("dense_logits", draw((2, 36)), draw((32, 36)).T),
+        ("dense_logits_one_vector", draw((2, 36)), draw((1, 36)).T),
+    ]
+    specials = (
+        "gram", "gram_c64n4", "cov_backward", "wt_times_stack", "one_column_k5",
+        "fold_one_column", "fold_rows_63",
+    )
     for name, a, b in [c for c in cases if c[0] in specials]:
         cases.append((f"{name}_specials", _with_specials(a, rng), _with_specials(b, rng)))
     return [pytest.param(a, b, id=name) for name, a, b in cases]
@@ -150,8 +166,18 @@ class TestMatmul:
             got, want = matmul(a, b), _per_matrix_oracle(a, b)
         assert _same_bits(got, want)
 
+    @pytest.mark.parametrize("stack", [(), (1,), (23,), (24,), (2, 12), (100,)])
+    def test_grams_match_triple_loop_bitwise(self, stack):
+        # (12, 36) maps: stacks below 2C = 24 samples go through matmul,
+        # the others run with the samples innermost.
+        rng = seeded_rng(42)
+        m = _with_specials(rng.standard_normal(stack + (12, 36)), rng)
+        with np.errstate(invalid="ignore"):
+            got, want = gram(m), _per_matrix_oracle(m, m.swapaxes(-1, -2))
+        assert _same_bits(got, want)
+
     def test_bits_without_simd_dispatch(self):
-        """The layout check above, in a fresh process with every SIMD
+        """The layout and Gram checks above, in a fresh process with every SIMD
         target numpy dispatches to on this CPU disabled: the bits do not
         depend on the dispatch."""
         try:
@@ -164,12 +190,15 @@ class TestMatmul:
         src = str(Path(spd_agg.__file__).resolve().parents[1])
         env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": ",".join(disabled)}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        target = f"{Path(__file__).resolve()}::TestMatmul::test_layouts_match_triple_loop_bitwise"
+        targets = [
+            f"{Path(__file__).resolve()}::TestMatmul::test_{name}_match_triple_loop_bitwise"
+            for name in ("layouts", "grams")
+        ]
         script = (
             "import sys, pytest\n"
             f"from {umath.__name__} import __cpu_features__ as have\n"
             f"assert not any(have[f] for f in {disabled!r}), 'dispatch not disabled'\n"
-            f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {target!r}]))\n"
+            f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{targets!r}]))\n"
         )
         run = subprocess.run(
             [sys.executable, "-c", script], cwd=Path(__file__).resolve().parents[1],

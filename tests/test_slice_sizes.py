@@ -1,17 +1,23 @@
-"""How many samples a slice stacks, and how large its stacked arrays grow.
+"""How many samples a slice stacks, how large its stacked arrays grow,
+and which form of product its stacks take.
 
 Every slice size gives each sample the same bits, which
 ``tests/test_network.py`` checks at sizes it sets itself; the mutation
 probe's slice rows run that file and survive.  This file pins the sizes
-at the benchmark's shapes, and the cap that keeps a slice's arrays on
-glibc's heap (``network._pin_malloc_thresholds``)."""
+at the benchmark's shapes, the cap that keeps a slice's arrays on
+glibc's heap (``network._pin_malloc_thresholds``), and the path each
+benchmark stack takes through ``linalg.gram`` and ``linalg.matmul``:
+both forms of each give the same bits, so only this file sees which one
+ran."""
 
 import itertools
 
+import numpy as np
 import pytest
 
-from spd_agg import PipelineConfig
+from spd_agg import PipelineConfig, StiefelPoint, kernel_forward, transform_forward
 from spd_agg import network as network_mod
+from spd_agg.stiefel import TransformTape, transform_backward_input
 
 #: (C0, C, N) with the slice size at that shape: criterion 08
 #: (``train_desk``), C=64 maps of N=4 without a mixer (``train_c64n4``)
@@ -76,3 +82,64 @@ def test_widest_stacked_array_stays_below_the_mmap_threshold():
     # glibc maps a block afresh once the request plus its chunk header
     # (at most 16 bytes for float64 arrays) reaches the threshold.
     assert 4 * network_mod.SLICE_VALUES * 8 + 16 < network_mod._MMAP_THRESHOLD
+
+
+#: ``np.einsum`` subscripts of the three product forms.
+STACKED = "...ik,...kj->...ij"
+SAMPLES_INNERMOST = "ik...,jk...->ij..."
+SIDE_BY_SIDE = "ik,k...j->i...j"
+
+
+@pytest.fixture
+def einsums(monkeypatch):
+    """The subscripts of every ``np.einsum`` call, in order."""
+    calls = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return calls
+
+
+#: (C0, C, N) and C' of each benchmark shape, the stacks it runs (its
+#: 32-sample batches and 100-sample held-out sets cut to the slice sizes
+#: of ``BENCHMARK_SHAPES``), and the form of the mixer, the Gram, the
+#: compression ``W^T K`` and ``W G`` in a stage that trains the mixer
+#: (None: the shape has no mixer).  ``W G`` folds wherever C' < 64.
+PATHS = [
+    ((16, 12, 36), 8, [32, 100], (SIDE_BY_SIDE, SAMPLES_INNERMOST, SIDE_BY_SIDE, SIDE_BY_SIDE)),
+    ((64, 0, 4), 32, [16], (None, STACKED, STACKED, None)),
+    ((96, 64, 196), 32, [4], (STACKED, STACKED, STACKED, SIDE_BY_SIDE)),
+]
+
+
+@pytest.mark.parametrize("shape, c_prime, stacks, forms", PATHS, ids=["desk", "c64n4", "c64n196"])
+def test_product_form_at_the_benchmark_shapes(shape, c_prime, stacks, forms, einsums):
+    step = dict(BENCHMARK_SHAPES)[shape]
+    assert stacks == sorted({min(32, step), min(100, step)})
+    c0, mixed, positions = shape
+    c = _pipeline(c0, mixed).feature_channels
+    mixer, gram, compression, w_g = forms
+    rng = np.random.default_rng(0)
+    w = StiefelPoint(np.linalg.qr(rng.standard_normal((c, c_prime)))[0])
+    for stack in stacks:
+        x = rng.standard_normal((stack, c0, 1, positions))
+        if mixed:
+            mix = network_mod.MixParams(rng.standard_normal((c, c0)), np.zeros(c))
+            del einsums[:]
+            x = network_mod.mix_forward(x, mix)[0]
+            assert einsums == [mixer], "mixer"
+        del einsums[:]
+        k = kernel_forward(x)[0]
+        assert einsums == [gram], "Gram"
+        del einsums[:]
+        transform_forward(k, w)
+        assert einsums == [compression, STACKED], "compression"
+        if mixed:
+            del einsums[:]
+            g = np.zeros((stack, c_prime, c_prime))
+            transform_backward_input(TransformTape(w=w, t=k[:, :c_prime]), g)
+            assert einsums == [w_g, STACKED], "W G W^T"
