@@ -742,6 +742,24 @@ def _ordered_sum(total: np.ndarray | None, stack: np.ndarray) -> np.ndarray:
     return np.cumsum(stack, axis=0)[-1]
 
 
+@dataclass
+class _TrainState:
+    """Everything that decides the rest of a :func:`train` run.
+    :func:`_epoch` updates it in place, so a deep copy taken between two
+    epochs finishes the run with the bits of the run it was taken from."""
+
+    params: Params
+    rng: np.random.Generator
+    epoch: int = 0  # epochs run
+    decay: float = 1.0  # what the stage's rate is divided by
+    best_loss: float = math.inf  # the stage's best epoch mean loss
+    bad_epochs: int = 0  # plateau epochs in a row
+    # Per sample of each set while the prefix is frozen: the aggregated
+    # matrix where it fits, else the kernel bandwidth.  None when no
+    # record is kept.
+    frozen: list[np.ndarray] | None = None
+
+
 def train(
     dataset,
     pipeline: PipelineConfig,
@@ -753,14 +771,15 @@ def train(
     ``dataset`` and the optional ``test_dataset`` are
     :class:`~spd_agg.data.FtsDataset` objects, which :func:`_check_set`
     checks, as the ``training`` and ``held-out`` sets, before any slice
-    runs.  Stage 1 trains the new layers with the channel mixer frozen;
-    stage 2 trains everything.  The learning rate of a stage, used by the
-    Euclidean and the manifold steps alike, is divided by ``DECAY_FACTOR``
-    whenever the epoch mean training loss fails to improve by
-    ``MIN_LOSS_DELTA`` for ``PLATEAU_PATIENCE`` consecutive epochs.  Batch
-    gradients are ordered sums over the batch divided by the batch size;
-    every random choice comes from the seeded generator, so runs are
-    reproducible bit-for-bit.
+    runs.  The run is ``2 * epochs_per_stage`` calls of :func:`_epoch`
+    on one :class:`_TrainState`.  Stage 1 trains the new layers with the
+    channel mixer frozen; stage 2 trains everything.  The learning rate
+    of a stage, used by the Euclidean and the manifold steps alike, is
+    divided by ``DECAY_FACTOR`` whenever the epoch mean training loss
+    fails to improve by ``MIN_LOSS_DELTA`` for ``PLATEAU_PATIENCE``
+    consecutive epochs.  Batch gradients are ordered sums over the batch
+    divided by the batch size; every random choice comes from the seeded
+    generator, so runs are reproducible bit-for-bit.
 
     While a stage does not train the mixer, each sample's aggregated
     matrix is a constant, and so is its kernel bandwidth.  The first
@@ -769,9 +788,11 @@ def train(
     fit (:func:`_cache_fits`), else, for the kernel, its bandwidth (one
     float64 per sample).  Each epoch visits every sample once, so later
     epochs start every slice from the recorded matrices, or aggregate
-    with the recorded bandwidths.  A stage that trains the mixer drops
-    the records, and is the only one whose :func:`backward` starts below
-    the compression; its slices keep the prefix tapes, without ``x``.
+    with the recorded bandwidths.  Whether an epoch records, reads or
+    keeps no record is fixed when it starts.  A stage that trains the
+    mixer drops the records, and is the only one whose :func:`backward`
+    starts below the compression; its slices keep the prefix tapes,
+    without ``x``.
 
     A training slice holds at most the batch size, and in a stage that
     trains the mixer :func:`_slice_size` counts its weight gradient too.
@@ -788,145 +809,136 @@ def train(
     sets = [dataset] if test_dataset is None else [dataset, test_dataset]
     for ds, name in zip(sets, ("training", "held-out")):
         _check_set(ds.samples, ds.labels, pipeline, name)
-    labels = dataset.labels
-    n = len(labels)
-    names = ("sample", "held-out sample")
-    positions = [ds.shape[1] * ds.shape[2] for ds in sets]
-    fits = all(_cache_fits(pipeline, ds.samples) for ds in sets)
-    # Per sample of each set while the prefix is frozen: the aggregated
-    # matrix where it fits, else the kernel bandwidth.  The first epoch of
-    # a frozen stage records them from its own slices; later epochs read
-    # them.
-    frozen: list[np.ndarray] | None = None
-    recording = False
-
     rng = seeded_rng(tc.seed)
-    params = init_params(pipeline, rng)
-    history: list[MetricsRecord] = []
-    global_epoch = 0
+    state = _TrainState(init_params(pipeline, rng), rng)
+    with _Workers() as workers:
+        history = [
+            _epoch(state, sets, pipeline, tc, workers) for _ in range(2 * tc.epochs_per_stage)
+        ]
+    return state.params, history
+
+
+def _epoch(
+    state: _TrainState, sets: list, pipeline: PipelineConfig, tc: TrainConfig, workers: _Workers
+) -> MetricsRecord:
+    """The next epoch of :func:`train` over ``sets`` (the training set,
+    then the held-out set if there is one); updates ``state`` in place
+    and returns the epoch's metrics.  The stage, its rate and the start
+    of its plateau schedule follow from ``state.epoch``."""
+    t0 = time.perf_counter()
+    stage = 1 + state.epoch // tc.epochs_per_stage
+    if state.epoch % tc.epochs_per_stage == 0:
+        state.decay, state.best_loss, state.bad_epochs = 1.0, math.inf, 0
+    state.epoch += 1
+    train_mix = state.params.mix is not None and stage == 2
+    if train_mix:
+        state.frozen = None
+    # The frozen-prefix mode of the epoch: it records, it reads the
+    # record, or there is no record.
+    fits = all(_cache_fits(pipeline, ds.samples) for ds in sets)
+    recording = state.frozen is None and not train_mix and (fits or pipeline.aggregator == "kernel")
+    if recording:
+        shape = (pipeline.feature_channels,) * 2 if fits else ()
+        state.frozen = [np.empty((len(ds),) + shape) for ds in sets]
+    reads = None if recording else state.frozen
 
     def aggregated(which: int, ids) -> tuple[np.ndarray, dict]:
         """Aggregated matrices of set ``which`` at ``ids``, and the prefix
         tapes the stage's backward reads."""
-        cached = frozen is not None and not recording
-        if cached and fits:
-            return frozen[which][ids], _NO_PREFIX
-        sigma = frozen[which][ids] if cached else None
-        aggregate, prefix = _aggregate(sets[which].samples[ids], params, pipeline, sigma)
+        if reads is not None and fits:
+            return reads[which][ids], _NO_PREFIX
+        sigma = None if reads is None else reads[which][ids]
+        aggregate, prefix = _aggregate(sets[which].samples[ids], state.params, pipeline, sigma)
         if recording:
-            frozen[which][ids] = aggregate if fits else prefix["kernel"].sigma
+            state.frozen[which][ids] = aggregate if fits else prefix["kernel"].sigma
         return aggregate, {**prefix, "x": None} if train_mix else _NO_PREFIX
+
+    labels = sets[0].labels
+    n = len(labels)
 
     def train_slice(ids) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
         """Losses, argmax classes and gradient blocks of training samples
         ``ids``."""
         loss, pred, tapes = _located(
-            lambda j: _loss(*aggregated(0, j), labels[j], params, pipeline),
-            ids, n, names[0], global_epoch,
+            lambda j: _loss(*aggregated(0, j), labels[j], state.params, pipeline),
+            ids, n, "sample", state.epoch,
         )
         return loss, pred, backward(tapes)
 
-    with _Workers() as workers:
-        for stage in (1, 2):
-            base_lr = tc.lr_stage1 if stage == 1 else tc.lr_stage2
-            decay_mult = 1.0
-            best_loss = math.inf
-            bad_epochs = 0
-            train_mix = params.mix is not None and stage == 2
-            step = min(tc.batch_size, _slice_size(pipeline, positions[0], train_mix))
-            if train_mix:
-                frozen = None
+    lr = (tc.lr_stage1 if stage == 1 else tc.lr_stage2) / state.decay
+    step = min(tc.batch_size, _slice_size(pipeline, math.prod(sets[0].shape[1:]), train_mix))
+    order = state.rng.permutation(n)
+    losses: list[float] = []
+    correct = 0
+    max_orth = state.params.transform.orthogonality_error()
 
-            for _ in range(tc.epochs_per_stage):
-                t0 = time.perf_counter()
-                global_epoch += 1
-                recording = (
-                    frozen is None and not train_mix and (fits or pipeline.aggregator == "kernel")
-                )
-                if recording:
-                    shape = (pipeline.feature_channels,) * 2 if fits else ()
-                    frozen = [np.empty((len(ds),) + shape) for ds in sets]
-                lr = base_lr / decay_mult
-                order = rng.permutation(n)
-                losses: list[float] = []
-                correct = 0
-                max_orth = params.transform.orthogonality_error()
+    for batch_no, span in enumerate(_slices(n, tc.batch_size), 1):
+        batch = order[span]
+        # Parameters are fixed within a minibatch, so its slices of
+        # stacked samples run at once; their losses, counts and blocks
+        # are reduced here, in sample order.
+        parts = [batch[s] for s in _slices(len(batch), step)]
+        total: dict[str, np.ndarray] = {}
+        for ids, (loss, pred, grads) in zip(parts, workers.map(train_slice, parts)):
+            losses.extend(loss.tolist())
+            correct += int((pred == labels[ids]).sum())
+            total = {k: _ordered_sum(total.get(k), g) for k, g in grads.items()}
+        scale = 1.0 / len(batch)
 
-                for batch_no, span in enumerate(_slices(n, tc.batch_size), 1):
-                    batch = order[span]
-                    # Parameters are fixed within a minibatch, so its slices
-                    # of stacked samples run at once; their losses, counts and
-                    # blocks are reduced here, in sample order.
-                    parts = [batch[s] for s in _slices(len(batch), step)]
-                    total: dict[str, np.ndarray] = {}
-                    for ids, (loss, pred, grads) in zip(parts, workers.map(train_slice, parts)):
-                        losses.extend(loss.tolist())
-                        correct += int((pred == labels[ids]).sum())
-                        total = {k: _ordered_sum(total.get(k), g) for k, g in grads.items()}
-                    scale = 1.0 / len(batch)
+        # W takes the manifold step, every other block the Euclidean one.
+        blocks = state.params.blocks()
+        for name, grad in total.items():
+            if name != "stiefel.w":
+                if lr != 0.0:
+                    blocks[name] = blocks[name] - lr * (grad * scale)
+            elif not tc.freeze_stiefel:
+                try:
+                    tangent = tangent_project(state.params.transform, grad * scale)
+                    blocks[name] = retract_step(state.params.transform, tangent, lr).w
+                except (NonFiniteError, SingularMatrixError) as e:
+                    failed = f"retraction failed at epoch {state.epoch}, batch {batch_no}: {e}"
+                    if isinstance(e, NonFiniteError):
+                        raise NonFiniteError(failed, epoch=state.epoch) from e
+                    raise SingularMatrixError(failed) from e
+        state.params = Params.from_blocks(blocks)
+        max_orth = max(max_orth, state.params.transform.orthogonality_error())
 
-                    # W takes the manifold step, every other block the
-                    # Euclidean one.
-                    blocks = params.blocks()
-                    for name, grad in total.items():
-                        if name != "stiefel.w":
-                            if lr != 0.0:
-                                blocks[name] = blocks[name] - lr * (grad * scale)
-                        elif not tc.freeze_stiefel:
-                            try:
-                                tangent = tangent_project(params.transform, grad * scale)
-                                blocks[name] = retract_step(params.transform, tangent, lr).w
-                            except (NonFiniteError, SingularMatrixError) as e:
-                                failed = (
-                                    f"retraction failed at epoch {global_epoch}, "
-                                    f"batch {batch_no}: {e}"
-                                )
-                                if isinstance(e, NonFiniteError):
-                                    raise NonFiniteError(failed, epoch=global_epoch) from e
-                                raise SingularMatrixError(failed) from e
-                    params = Params.from_blocks(blocks)
-                    max_orth = max(max_orth, params.transform.orthogonality_error())
+    # np.cumsum adds in sample order on every Python version (sum()
+    # compensates from Python 3.12 on).
+    epoch_loss = float(np.cumsum(losses)[-1]) / n
+    if not math.isfinite(epoch_loss):
+        raise NonFiniteError(
+            f"non-finite mean training loss at epoch {state.epoch}", epoch=state.epoch
+        )
+    if epoch_loss <= state.best_loss - MIN_LOSS_DELTA:
+        state.best_loss = epoch_loss
+        state.bad_epochs = 0
+    else:
+        state.bad_epochs += 1
+        if state.bad_epochs >= PLATEAU_PATIENCE:
+            state.decay *= DECAY_FACTOR
+            state.bad_epochs = 0
 
-                # np.cumsum adds in sample order on every Python version
-                # (sum() compensates from Python 3.12 on).
-                epoch_loss = float(np.cumsum(losses)[-1]) / n
-                if not math.isfinite(epoch_loss):
-                    raise NonFiniteError(
-                        f"non-finite mean training loss at epoch {global_epoch}",
-                        epoch=global_epoch,
-                    )
-                if epoch_loss <= best_loss - MIN_LOSS_DELTA:
-                    best_loss = epoch_loss
-                    bad_epochs = 0
-                else:
-                    bad_epochs += 1
-                    if bad_epochs >= PLATEAU_PATIENCE:
-                        decay_mult *= DECAY_FACTOR
-                        bad_epochs = 0
-
-                test_acc = None
-                if len(sets) > 1:
-                    test_acc = _accuracy(
-                        lambda ids: _classes(aggregated(1, ids)[0], params, pipeline),
-                        sets[1].labels,
-                        _slice_size(pipeline, positions[1]),
-                        workers,
-                        names[1],
-                        global_epoch,
-                    )
-                history.append(
-                    MetricsRecord(
-                        epoch=global_epoch,
-                        stage=stage,
-                        mean_train_loss=epoch_loss,
-                        train_accuracy=correct / n,
-                        test_accuracy=test_acc,
-                        lr=lr,
-                        stiefel_orthogonality_error=max_orth,
-                        wall_ms=(time.perf_counter() - t0) * 1000.0,
-                    )
-                )
-    return params, history
+    test_acc = None
+    if len(sets) > 1:
+        test_acc = _accuracy(
+            lambda ids: _classes(aggregated(1, ids)[0], state.params, pipeline),
+            sets[1].labels,
+            _slice_size(pipeline, math.prod(sets[1].shape[1:])),
+            workers,
+            "held-out sample",
+            state.epoch,
+        )
+    return MetricsRecord(
+        epoch=state.epoch,
+        stage=stage,
+        mean_train_loss=epoch_loss,
+        train_accuracy=correct / n,
+        test_accuracy=test_acc,
+        lr=lr,
+        stiefel_orthogonality_error=max_orth,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
+    )
 
 
 @dataclass

@@ -83,6 +83,12 @@ MUTANTS = [
            "CKPT_ORTHO_TOL = 1e-8", "CKPT_ORTHO_TOL = 1e-2", "tests/test_cli.py"),
     Mutant("min-loss-delta", "src/spd_agg/network.py",
            "MIN_LOSS_DELTA = 1e-4", "MIN_LOSS_DELTA = 1e-3", "tests/test_network.py"),
+    Mutant("stage-schedule-reset", "src/spd_agg/network.py",
+           "    if state.epoch % tc.epochs_per_stage == 0:\n"
+           "        state.decay, state.best_loss, state.bad_epochs = 1.0, math.inf, 0\n",
+           "", "tests/test_network.py"),
+    Mutant("mixer-stage-drops-records", "src/spd_agg/network.py",
+           "    if train_mix:\n        state.frozen = None\n", "", "tests/test_network.py"),
     Mutant("rate-beyond-float64", "src/spd_agg/network.py",
            "if not 0 <= value <= sys.float_info.max:", "if not 0 <= value < math.inf:",
            "tests/test_cli.py"),

@@ -266,6 +266,25 @@ class TestTrainEval:
         result = json.loads(out)
         assert result["samples"] == 20 and 0.0 <= result["accuracy"] <= 1.0
 
+    def test_zero_epochs_write_empty_metrics(self, small_run, tmp_path, capsys):
+        data, config = small_run
+        config.write_text(json.dumps({**SMALL_CONFIG, "epochs_per_stage": 0}))
+        metrics = tmp_path / "metrics.jsonl"
+        ckpt = tmp_path / "model.ftsp"
+        code, out, _ = run(
+            capsys,
+            ["train", "--data", str(data), "--test", str(data), "--config", str(config),
+             "--out-metrics", str(metrics), "--out-ckpt", str(ckpt)],
+        )
+        assert code == 0
+        assert json.loads(out)["epochs"] == 0
+        assert metrics.read_bytes() == b""
+        params, pipeline = load_checkpoint(ckpt)
+        initial = init_params(pipeline, seeded_rng(SMALL_CONFIG["seed"])).blocks()
+        assert params.blocks().keys() == initial.keys()
+        for name, block in params.blocks().items():
+            assert block.tobytes() == initial[name].tobytes(), name
+
     def test_seed_flag_overrides_config(self, small_run, tmp_path, capsys):
         data, config = small_run
         outs = []

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -349,6 +350,17 @@ class TestTrain:
         assert np.array_equal(params.head.weights, initial.head.weights)
         assert np.array_equal(params.head.bias, initial.head.bias)
         assert len(history) == 4
+
+    def test_zero_epochs_return_the_initial_params(self):
+        # No epoch runs, so no stage is worked out from the epoch count.
+        pipe = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=2)
+        tc = TrainConfig(epochs_per_stage=0, seed=5)
+        params, history = train(tiny_dataset(), pipe, tc, test_dataset=tiny_dataset(seed=1))
+        assert history == []
+        initial = init_params(pipe, seeded_rng(5)).blocks()
+        assert params.blocks().keys() == initial.keys()
+        for name, block in params.blocks().items():
+            assert block.tobytes() == initial[name].tobytes(), name
 
     def test_stage1_freezes_mixer(self):
         ds = tiny_dataset()
@@ -876,6 +888,57 @@ class TestAggregateCache:
         train(ds, pipe, tc, test_dataset=held_out)
         assert (aggregated[:-1], bandwidths[:-1]) == per_epoch
         assert aggregated[-1] == bandwidths[-1] == 0
+
+
+def run_epochs(state, sets, pipe, tc, count) -> list[str]:
+    """The metrics lines of ``count`` more epochs of the run ``state``,
+    each through ``network._epoch``."""
+    with network_mod._Workers() as workers:
+        return [
+            network_mod._epoch(state, sets, pipe, tc, workers).to_json_line() for _ in range(count)
+        ]
+
+
+class TestTrainState:
+    # Six epochs a stage: k = 3 and 9 split a stage, k = 6 splits the
+    # run at the stage boundary.  Each pipeline has a held-out set, at
+    # maps whose shape sets what a frozen stage records: the matrices
+    # (C*C = 25 <= C0*N = 54; stage 2 trains the mixer and drops them),
+    # the bandwidths (the kernel without a mixer, 36 > 24, kept for both
+    # stages) or nothing (the covariance, 25 > 24).
+    @pytest.mark.parametrize(
+        "pipe, side, recorded",
+        [
+            (CACHED_PIPELINES[0], 3, (16, 5, 5)),
+            (CACHED_PIPELINES[2], 2, (16,)),
+            (CACHED_PIPELINES[1], 2, None),
+        ],
+    )
+    @pytest.mark.parametrize("k", [3, 6, 9])
+    def test_a_copy_of_the_state_finishes_the_run(self, pipe, side, recorded, k):
+        # Run k epochs, copy the state, then finish the run from the
+        # original and from the copy: each must give the metrics lines
+        # and parameter bits of one uninterrupted run.  The rates make
+        # the plateau schedule divide a rate in each of these runs.
+        sets = [tiny_dataset(seed=11, h=side, w=side)]
+        sets.append(tiny_dataset(seed=12, per_class=4, h=side, w=side))
+        tc = TrainConfig(lr_stage1=0.01, lr_stage2=0.001, epochs_per_stage=6, seed=3, batch_size=5)
+        params, history = train(sets[0], pipe, tc, test_dataset=sets[1])
+        assert any(r.lr < (tc.lr_stage1, tc.lr_stage2)[r.stage - 1] for r in history)
+        rng = seeded_rng(tc.seed)
+        state = network_mod._TrainState(init_params(pipe, rng), rng)
+        head = run_epochs(state, sets, pipe, tc, k)
+        saved = copy.deepcopy(state)
+        if recorded is not None and (k <= tc.epochs_per_stage or pipe.mixed_channels == 0):
+            assert state.frozen[0].shape == recorded
+        else:
+            assert state.frozen is None
+        for run in (state, saved):
+            lines = head + run_epochs(run, sets, pipe, tc, 2 * tc.epochs_per_stage - k)
+            assert lines == [r.to_json_line() for r in history]
+            assert run.params.blocks().keys() == params.blocks().keys()
+            for name, block in params.blocks().items():
+                assert run.params.blocks()[name].tobytes() == block.tobytes(), name
 
 
 class TestEvaluateAccuracy:
