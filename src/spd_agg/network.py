@@ -717,29 +717,21 @@ def evaluate_accuracy(samples, labels, params: Params, config: PipelineConfig) -
         )
 
 
-#: Values per sample from which :func:`_ordered_sum` adds whole blocks;
-#: below it, one ``np.cumsum`` over the stack is cheaper than a Python
-#: loop over the samples.
-_BLOCK_ADD_VALUES = 128
-
-
 def _ordered_sum(total: np.ndarray | None, stack: np.ndarray) -> np.ndarray:
     """``total + stack[0] + stack[1] + ...`` from left to right, or
     ``stack[0] + stack[1] + ...`` without a total: starting from the first
-    sample, not from zeros, keeps signed zeros.  ``np.sum`` over the
-    sample axis would pair the terms up.  One sample, or blocks of at
-    least :data:`_BLOCK_ADD_VALUES` values, are added a whole block at a
-    time into a fresh array; smaller blocks of several samples go through
-    one sequential ``np.cumsum`` along the sample axis, which adds in the
-    same order."""
-    if len(stack) == 1 or stack[0].size >= _BLOCK_ADD_VALUES:
-        out = stack[0].copy() if total is None else total + stack[0]
-        for block in stack[1:]:
-            out += block
-        return out
+    sample, not from zeros, keeps signed zeros.  numpy reduces an axis
+    that is not the fast one in memory one term after another, and every
+    gradient block keeps its sample axis outermost; a block of one value
+    makes the sample axis the fast one, where numpy pairs the terms up,
+    so it goes through a sequential ``np.cumsum``."""
     if total is not None:
-        stack = np.concatenate([total[None], stack])
-    return np.cumsum(stack, axis=0)[-1]
+        # The total takes the first row and the last sample is added after
+        # the rest, so no array outgrows the slice's own stack.
+        return _ordered_sum(None, np.concatenate([total[None], stack[:-1]])) + stack[-1]
+    if stack[0].size < 2:
+        return np.cumsum(stack, axis=0)[-1]
+    return np.add.reduce(stack, axis=0, initial=None)
 
 
 @dataclass

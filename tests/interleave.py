@@ -16,6 +16,13 @@ median and quartiles of the time per call, the ratio of the medians
 is the A/A control: its ratio should read 1 and B should win about half
 the pairs.
 
+Both checkouts share this process, so a setting that acts on the whole
+process applies to both sides once either sets it: the first
+``network._Workers`` block pins glibc's allocator thresholds for both,
+and a value read from the environment at import reads the same for
+both.  Such settings cannot be compared here; compare them in fresh
+processes, one checkout per process.
+
 Standard library and numpy only; pytest does not collect this file.  The
 workload table is read from this checkout's ``bench/workloads.py``.
 """

@@ -121,9 +121,11 @@ MUTANTS = [
     Mutant("mmap-threshold", "src/spd_agg/network.py",
            "_MMAP_THRESHOLD = 4 * SLICE_VALUES * 8 + 32", "_MMAP_THRESHOLD = 4 * SLICE_VALUES * 8",
            "tests/test_slice_sizes.py"),
-    Mutant("block-add-values", "src/spd_agg/network.py",
-           "_BLOCK_ADD_VALUES = 128", "_BLOCK_ADD_VALUES = 1", "tests/test_network.py",
-           survives="picks one of two ordered sums that add in the same order"),
+    Mutant("one-value-guard", "src/spd_agg/network.py",
+           "if stack[0].size < 2:", "if stack[0].size < 1:", "tests/test_network.py"),
+    Mutant("total-appended", "src/spd_agg/network.py",
+           "np.concatenate([total[None], stack[:-1]])) + stack[-1]",
+           "np.concatenate([total[None], stack]))", "tests/test_network.py"),
     Mutant("workers", "src/spd_agg/network.py",
            "    WORKERS = len(os.sched_getaffinity(0))", "    WORKERS = 1",
            "tests/test_network.py",

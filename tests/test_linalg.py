@@ -177,7 +177,8 @@ class TestMatmul:
         assert _same_bits(got, want)
 
     def test_bits_without_simd_dispatch(self):
-        """The layout and Gram checks above, in a fresh process with every SIMD
+        """The layout and Gram checks above, and the ordered minibatch sum,
+        which runs numpy's add loops, in a fresh process with every SIMD
         target numpy dispatches to on this CPU disabled: the bits do not
         depend on the dispatch."""
         try:
@@ -190,9 +191,11 @@ class TestMatmul:
         src = str(Path(spd_agg.__file__).resolve().parents[1])
         env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": ",".join(disabled)}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        here = Path(__file__).resolve()
         targets = [
-            f"{Path(__file__).resolve()}::TestMatmul::test_{name}_match_triple_loop_bitwise"
-            for name in ("layouts", "grams")
+            *(f"{here}::TestMatmul::test_{name}_match_triple_loop_bitwise"
+              for name in ("layouts", "grams")),
+            f"{here.with_name('test_network.py')}::TestOrderedSum",
         ]
         script = (
             "import sys, pytest\n"

@@ -1184,6 +1184,31 @@ class TestBatchedChain:
             if params.mix is not None:
                 assert np.array_equal(params.mix.weights, runs[0][1].mix.weights)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_value_blocks_independent_of_slice_size(self, monkeypatch, workers):
+        # One mixed channel compressed to 1 x 1: mix.bias and stiefel.w
+        # hold one value per sample, where numpy's sum over the sample
+        # axis pairs the terms up.  Without the L2 norm, whose gradient
+        # is zero for one value, the gradient reaches them.
+        pipe = PipelineConfig(in_channels=6, mixed_channels=1, transform_dim=1, num_classes=2,
+                              aggregator="covariance", l2_norm=False)
+        ds = tiny_dataset(seed=3, per_class=24)
+        tc = TrainConfig(epochs_per_stage=2, seed=4, batch_size=24)
+        monkeypatch.setattr(network_mod, "WORKERS", workers)
+        runs = []
+        for step in (1, 5, 24):
+            with monkeypatch.context() as patch:
+                sizes = set_slice_samples(patch, step)
+                params, history = train(ds, pipe, tc, test_dataset=ds)
+            assert max(sizes) == step
+            blocks = params.blocks()
+            assert blocks["mix.bias"].size == blocks["stiefel.w"].size == 1
+            runs.append(([h.to_json_line() for h in history], blocks))
+        for lines, blocks in runs[1:]:
+            assert lines == runs[0][0]
+            for name in blocks:
+                assert blocks[name].tobytes() == runs[0][1][name].tobytes(), name
+
 
 def _map(fn, items):
     with network_mod._Workers() as workers:
@@ -1228,6 +1253,20 @@ class TestOrderedSum:
             got = network_mod._ordered_sum(total, negative)
             ref = ordered_sum_formula(total, negative)
             assert got.tobytes() == ref.tobytes() == np.full(shape[1:], want).tobytes()
+
+    def test_total_takes_no_more_memory_than_the_stack(self):
+        # The carried total takes the last sample's row, so the rows summed
+        # hold no more than the slice's own stack, which stays below the
+        # pinned mmap threshold; the stack plus the total would outgrow it.
+        rng = seeded_rng(3)
+        stack, total = rng.standard_normal((4, 64, 32)), rng.standard_normal((64, 32))
+        tracemalloc.start()
+        try:
+            network_mod._ordered_sum(total, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack.nbytes + 1.5 * total.nbytes
 
 
 class TestWorkers:

@@ -5,11 +5,13 @@ Every slice size gives each sample the same bits, which
 ``tests/test_network.py`` checks at sizes it sets itself; the mutation
 probe's slice rows run that file and survive.  This file pins the sizes
 at the benchmark's shapes, the cap that keeps a slice's arrays on
-glibc's heap (``network._pin_malloc_thresholds``), and the path each
-benchmark stack takes through ``linalg.gram`` and ``linalg.matmul``:
-both forms of each give the same bits, so only this file sees which one
-ran."""
+glibc's heap (``network._pin_malloc_thresholds``), the path each
+benchmark stack takes through ``linalg.gram`` and ``linalg.matmul``
+(both forms of each give the same bits, so only this file sees which one
+ran) and the memory layout of the gradient blocks each benchmark stack
+returns, which ``network._ordered_sum`` reads."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -143,3 +145,31 @@ def test_product_form_at_the_benchmark_shapes(shape, c_prime, stacks, forms, ein
             g = np.zeros((stack, c_prime, c_prime))
             transform_backward_input(TransformTape(w=w, t=k[:, :c_prime]), g)
             assert einsums == [w_g, STACKED], "W G W^T"
+
+
+def _fastest_axis(a):
+    """The axis of ``a`` longer than one with the smallest stride."""
+    return min((ax for ax in range(a.ndim) if a.shape[ax] > 1), key=lambda ax: abs(a.strides[ax]))
+
+
+@pytest.mark.parametrize("shape, c_prime", [path[:2] for path in PATHS],
+                         ids=["desk", "c64n4", "c64n196"])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_gradient_blocks_keep_the_sample_axis_slow(shape, c_prime, stage):
+    # network._ordered_sum adds one sample after another only where the
+    # sample axis is not the fast one in memory; a stage-2 backward runs
+    # the prefix, with its folded products, as training does.
+    c0, mixed, positions = shape
+    stack = min(32, dict(BENCHMARK_SHAPES)[shape])
+    config = PipelineConfig(in_channels=c0, mixed_channels=mixed, transform_dim=c_prime,
+                            num_classes=2)
+    rng = np.random.default_rng(1)
+    params = network_mod.init_params(config, rng)
+    x = rng.standard_normal((stack, c0, 1, positions))
+    _, _, tapes = network_mod.forward(x, rng.integers(2, size=stack), params, config)
+    prefix = dict(x=None) if stage == 2 else network_mod._NO_PREFIX
+    grads = network_mod.backward(dataclasses.replace(tapes, **prefix))
+    assert ("mix.weights" in grads) == (stage == 2 and bool(mixed))
+    for name, block in grads.items():
+        assert len(block) == stack and block[0].size > 1, name
+        assert _fastest_axis(block) != 0, (name, block.shape, block.strides)
