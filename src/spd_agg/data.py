@@ -39,12 +39,21 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import FtsParseError, NonFiniteError, ShapeMismatchError
 from .linalg import matmul, seeded_rng
-from .network import AGGREGATORS, Params, PipelineConfig, integer_labels, param_shapes
+from .network import (
+    AGGREGATORS,
+    SLICE_VALUES,
+    Params,
+    PipelineConfig,
+    _Workers,
+    integer_labels,
+    param_shapes,
+)
 
 __all__ = [
     "FtsDataset",
@@ -188,6 +197,11 @@ def fts_read(path) -> FtsDataset:
     return FtsDataset(samples=samples, labels=labels, num_classes=num_classes)
 
 
+#: Blocks of rows of a class's Cholesky factor in :func:`synth_generate`:
+#: each block's product skips the zero triangle to the right of it.
+_FACTOR_BLOCKS = 8
+
+
 def synth_generate(
     num_classes: int, per_class: int, c0: int, h: int, w: int, seed: int
 ) -> FtsDataset:
@@ -198,6 +212,21 @@ def synth_generate(
     once per class from the seed.  All classes share the zero mean, so
     first-order (average-pooled) statistics carry no class signal; the
     per-position covariance carries all of it.
+
+    One PCG64 stream of the seed gives every value: the class factors
+    first, in class order, then each sample's C0 x H x W standard-normal
+    draws in dataset order.  The samples come a slice at a time, as many
+    as fill ``SLICE_VALUES`` but at least four, with one
+    ``standard_normal`` call per slice, so the bytes do not depend on the
+    slicing.  The products take the Cholesky factor L_k in
+    :data:`_FACTOR_BLOCKS` blocks of rows, each stopping at the column of
+    its block's last row: ``matmul`` adds an entry's terms in order from
+    +0, so no partial sum is -0.0, and the zero terms above the diagonal
+    that a block drops change no bit.  Where the floor of four sets the
+    slice size (paper-scale maps), a ``network._Workers`` block draws
+    slice j + 1 into a second buffer on another thread while slice j
+    multiplies; at every other shape no thread starts and the allocator
+    is not pinned.
     """
     if num_classes < 2:
         raise ValueError(f"need at least two classes, got {num_classes}")
@@ -208,16 +237,53 @@ def synth_generate(
     for _ in range(num_classes):
         a = rng.standard_normal((c0, c0))
         factors.append(np.linalg.cholesky(matmul(a, a.T) + 0.1 * np.eye(c0)))
+    n = h * w
+    edges = sorted({c0 * b // _FACTOR_BLOCKS for b in range(_FACTOR_BLOCKS + 1)})
+    blocks = [[(r0, f[r0:r1, :r1]) for r0, r1 in zip(edges, edges[1:])] for f in factors]
+    fill = SLICE_VALUES // (c0 * n)
+    step = min(per_class, max(4, fill))
+    # (class, first sample, samples) of each slice, in dataset order
+    slices = [
+        (k, k * per_class + start, min(step, per_class - start))
+        for k in range(num_classes)
+        for start in range(0, per_class, step)
+    ]
+    overlap = fill < 4
+    draws = [np.empty((step, c0, n)) for _ in range(1 + overlap)]
     samples = np.empty((num_classes * per_class, c0, h, w), dtype=np.float32)
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    i = 0
-    for k in range(num_classes):
-        for _ in range(per_class):
-            draws = matmul(factors[k], rng.standard_normal((c0, h * w)))
-            # stored as float32, as on disk, so disk round-trips are exact
-            samples[i] = draws.reshape(c0, h, w)
-            labels[i] = k
-            i += 1
+    # stored as float32, as on disk, so disk round-trips are exact
+    maps = samples.reshape(-1, c0, n)
+
+    def buffer(j: int) -> np.ndarray:
+        """Where slice j's draws go: the head of buffer j mod 2, or of the
+        one buffer where slices do not overlap."""
+        return draws[j % len(draws)][: slices[j][2]]
+
+    def draw(j: int) -> None:
+        rng.standard_normal(out=buffer(j))
+
+    def multiply(j: int) -> None:
+        k, first, count = slices[j]
+        # the samples side by side, (C0, count * N): each block's product
+        # reads a prefix of its rows, which is contiguous
+        side = np.ascontiguousarray(buffer(j).swapaxes(0, 1)).reshape(c0, -1)
+        out = maps[first : first + count]
+        for r0, part in blocks[k]:
+            rows = matmul(part, side[: part.shape[1]])
+            out[:, r0 : r0 + len(part)] = rows.reshape(len(part), count, n).swapaxes(0, 1)
+
+    if overlap:
+        with _Workers() as workers:
+            draw(0)
+            for j in range(len(slices)):
+                # slice j multiplies while slice j + 1, if any, is drawn
+                tasks = [partial(multiply, j), partial(draw, j + 1)][: len(slices) - j]
+                workers.map(lambda task: task(), tasks)
+    else:
+        for j in range(len(slices)):
+            draw(j)
+            multiply(j)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return FtsDataset(samples=samples, labels=labels, num_classes=num_classes)
 
 

@@ -2,13 +2,20 @@
 
 These deliberately recompute everything the slow, obvious way (entrywise
 loops, explicit definitions) so agreement with the library is evidence,
-not tautology.
+not tautology.  :func:`run_child` runs a test's code in a fresh
+interpreter, for what only a new process shows.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import spd_agg
 from spd_agg.kernel import as_feature_matrix, compute_sigma
-from spd_agg.linalg import matmul
+from spd_agg.linalg import matmul, seeded_rng
 
 
 def matmul_triple_loop(a, b):
@@ -128,6 +135,27 @@ def ordered_sum_formula(total, stack):
     return np.cumsum(stack, axis=0)[-1]
 
 
+def synth_generate_loop(num_classes, per_class, c0, h, w, seed):
+    """``synth_generate`` as one draw and one full product per sample:
+    (samples, labels)."""
+    rng = seeded_rng(seed)
+    factors = []
+    for _ in range(num_classes):
+        a = rng.standard_normal((c0, c0))
+        factors.append(np.linalg.cholesky(matmul(a, a.T) + 0.1 * np.eye(c0)))
+    samples = np.empty((num_classes * per_class, c0, h, w), dtype=np.float32)
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    i = 0
+    for k in range(num_classes):
+        for _ in range(per_class):
+            draws = matmul(factors[k], rng.standard_normal((c0, h * w)))
+            # stored as float32, as on disk, so disk round-trips are exact
+            samples[i] = draws.reshape(c0, h, w)
+            labels[i] = k
+            i += 1
+    return samples, labels
+
+
 def covariance_inner_products(m):
     """Covariance as pairwise inner products of centered, scaled maps."""
     c, n = m.shape
@@ -182,3 +210,23 @@ def adjoint_gap(jx, y, pairs) -> float:
     """|<J x, y> - <x, J^T y>|; ``pairs`` holds (block of x, same block
     of J^T y)."""
     return abs(float(np.vdot(jx, y)) - sum(float(np.vdot(x, g)) for x, g in pairs))
+
+
+def glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def run_child(code: str, *args) -> str:
+    """The standard output of ``code`` run by a fresh interpreter, as
+    ``spd-agg`` runs, on this checkout's ``src/``."""
+    src = Path(spd_agg.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout

@@ -2,6 +2,7 @@
 
     python3 tests/interleave.py BASE NEW --workload train_desk --mode eval
     python3 tests/interleave.py BASE BASE --workload train_desk --mode eval
+    python3 tests/interleave.py BASE NEW --workload eval_c64n196 --mode synth
 
 Loads the ``spd_agg`` under ``src/`` of each checkout as a package of
 its own (``spd_agg_a`` and ``spd_agg_b``) into this process.  It builds
@@ -9,7 +10,9 @@ the inputs of the named workload of ``bench/workloads.py`` with each
 package, and checks that the two give the same outputs: the metrics
 lines and parameter bytes of ``network.train`` (``--mode train``), or
 the line ``spd-agg eval`` prints for a checkpoint trained by the first
-(``--mode eval``).  It then times ``--pairs`` pairs of calls, the order
+(``--mode eval``), or the sample bytes, labels and label type of
+``synth_generate`` on the workload's ``synth`` arguments (``--mode
+synth``).  It then times ``--pairs`` pairs of calls, the order
 within a pair alternating (A B, B A, ...), and prints per checkout the
 median and quartiles of the time per call, the ratio of the medians
 (B / A) and in how many pairs B was faster.  Naming one checkout twice
@@ -20,7 +23,9 @@ Both checkouts share this process, so a setting that acts on the whole
 process applies to both sides once either sets it: the first
 ``network._Workers`` block pins glibc's allocator thresholds for both,
 and a value read from the environment at import reads the same for
-both.  Such settings cannot be compared here; compare them in fresh
+both; the first pool thread, once started, serves both.  Such effects
+cannot be compared here (``--mode synth`` at paper scale starts the
+pool and pins the allocator on its warm-up call); compare them in fresh
 processes, one checkout per process.
 
 Standard library and numpy only; pytest does not collect this file.  The
@@ -76,6 +81,7 @@ class Side:
     def __init__(self, package, spec, workdir: Path, tag: str):
         synth, per_class, third, pipeline, tc = spec
         self.package = package
+        self.synth = synth
         self.cli = importlib.import_module(f"{package.__name__}.cli")
         self.pipeline = package.PipelineConfig(**pipeline)
         self.tc = package.TrainConfig(**tc)
@@ -94,6 +100,9 @@ class Side:
         blocks = b"".join(a.tobytes() for a in params.blocks().values())
         return [r.to_json_line() for r in history], blocks
 
+    def generate(self):
+        return self.package.synth_generate(**self.synth)
+
     def eval(self, ckpt: Path) -> str:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -101,6 +110,14 @@ class Side:
         if code != 0:
             raise SystemExit(f"spd-agg eval exited {code}")
         return out.getvalue()
+
+
+def fingerprint(output):
+    """What the two checkouts' outputs must share: a dataset's sample
+    bytes, labels and label type; any other output itself."""
+    if hasattr(output, "samples"):
+        return output.samples.tobytes(), output.labels.tobytes(), output.labels.dtype
+    return output
 
 
 def quartiles(times: list[float]) -> tuple[float, float, float]:
@@ -113,7 +130,7 @@ def main(argv: list[str]) -> int:
     p.add_argument("base", type=Path, help="checkout A")
     p.add_argument("new", type=Path, help="checkout B (A again for the A/A control)")
     p.add_argument("--workload", required=True, help="a workload of bench/workloads.py")
-    p.add_argument("--mode", choices=("eval", "train"), required=True)
+    p.add_argument("--mode", choices=("eval", "train", "synth"), required=True)
     p.add_argument("--pairs", type=int, default=100)
     args = p.parse_args(argv)
 
@@ -124,13 +141,15 @@ def main(argv: list[str]) -> int:
         b = Side(load(args.new.resolve(), "spd_agg_b"), spec, workdir, "b")
         if args.mode == "train":
             calls = [a.train, b.train]
+        elif args.mode == "synth":
+            calls = [a.generate, b.generate]
         else:
             ckpt = workdir / "model.ftsp"
             params = a.package.network.train(a.train_ds, a.pipeline, a.tc)[0]
             a.package.save_checkpoint(ckpt, params, a.pipeline)
             calls = [lambda: a.eval(ckpt), lambda: b.eval(ckpt)]
         outputs = [call() for call in calls]  # also the warm-up call of each
-        if outputs[0] != outputs[1]:
+        if fingerprint(outputs[0]) != fingerprint(outputs[1]):
             print("the two checkouts give different outputs")
             return 1
         times: list[list[float]] = [[], []]

@@ -81,6 +81,17 @@ MUTANTS = [
            "SYM_TOL = 1e-10", "SYM_TOL = 1e-8", "tests/test_linalg.py"),
     Mutant("ckpt-ortho-tol", "src/spd_agg/data.py",
            "CKPT_ORTHO_TOL = 1e-8", "CKPT_ORTHO_TOL = 1e-2", "tests/test_cli.py"),
+    Mutant("synth-factor-blocks", "src/spd_agg/data.py",
+           "_FACTOR_BLOCKS = 8", "_FACTOR_BLOCKS = 3", "tests/test_data.py",
+           survives="sets how many row blocks the generator's products take; every "
+                    "count gives the same bytes"),
+    Mutant("synth-block-bound", "src/spd_agg/data.py",
+           "f[r0:r1, :r1]", "f[r0:r1, : r1 - 1]", "tests/test_data.py"),
+    Mutant("synth-overlap-everywhere", "src/spd_agg/data.py",
+           "overlap = fill < 4", "overlap = True", "tests/test_data.py"),
+    Mutant("synth-draw-order", "src/spd_agg/data.py",
+           "            draw(0)\n", "            draw(1)\n            draw(0)\n",
+           "tests/test_data.py"),
     Mutant("min-loss-delta", "src/spd_agg/network.py",
            "MIN_LOSS_DELTA = 1e-4", "MIN_LOSS_DELTA = 1e-3", "tests/test_network.py"),
     Mutant("stage-schedule-reset", "src/spd_agg/network.py",

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -28,7 +29,10 @@ from spd_agg import (
     synth_generate,
     stiefel_init,
 )
+from spd_agg import network as network_mod
 from spd_agg.cli import DEFAULT_GRADCHECK_PIPELINE
+
+from _oracles import glibc, run_child, synth_generate_loop
 
 
 def random_dataset(rng, n_per_class=3, num_classes=2, c=4, h=2, w=3):
@@ -255,6 +259,74 @@ class TestSynthGenerate:
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="two classes"):
             synth_generate(1, 5, 4, 2, 2, seed=0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 7, 5, 3, 3), (2, 150, 16, 6, 6), (2, 5, 1, 2, 2), (2, 9, 13, 1, 1),
+         (2, 6, 96, 14, 14)],
+        ids=["three-classes", "partial-slice", "one-channel", "one-position", "paper-scale"],
+    )
+    def test_bytes_of_the_per_sample_loop(self, monkeypatch, shape, workers):
+        # partial-slice: 113-sample slices of 150 per class; 5 and 13
+        # channels fill 8 row blocks unevenly; paper-scale: 4-sample
+        # slices of 6 per class, the next one drawn while one multiplies
+        monkeypatch.setattr(network_mod, "WORKERS", workers)
+        samples, labels = synth_generate_loop(*shape, seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads change hands often
+        try:
+            ds = synth_generate(*shape, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert ds.samples.dtype == np.float32 and ds.samples.shape == samples.shape
+        assert np.array_equal(ds.samples.view(np.uint32), samples.view(np.uint32))
+        assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+
+
+#: A child that records thread starts and glibc ``mallopt`` calls (passed
+#: on to glibc) around one ``synth_generate`` call on the shape of its
+#: arguments, and prints: threads started, whether ``concurrent.futures``
+#: was imported, ``mallopt`` calls, threads alive after the call, and
+#: ``network.WORKERS``.
+_SYNTH_CHILD = """
+import ctypes
+import sys
+import threading
+import types
+libc_mallopt = ctypes.CDLL(None).mallopt
+calls, started = [], []
+def mallopt(param, value):
+    calls.append((param, value))
+    return libc_mallopt(param, value)
+ctypes.CDLL = lambda name: types.SimpleNamespace(mallopt=mallopt)
+thread_start = threading.Thread.start
+def start(self):
+    started.append(self)
+    thread_start(self)
+threading.Thread.start = start
+from spd_agg import synth_generate
+from spd_agg.network import WORKERS
+synth_generate(*map(int, sys.argv[1:]), seed=7)
+print(len(started), "concurrent.futures" in sys.modules, len(calls), threading.active_count(),
+      WORKERS)
+"""
+
+
+@pytest.mark.skipif(not glibc(), reason="the allocator is pinned only under glibc")
+class TestSynthThreads:
+    @pytest.mark.parametrize(
+        "shape", [(2, 150, 16, 6, 6), (2, 150, 64, 2, 2)], ids=["train_desk", "train_c64n4"]
+    )
+    def test_no_thread_and_no_pin_below_paper_scale(self, shape):
+        # started, futures imported, mallopt calls, threads alive
+        assert run_child(_SYNTH_CHILD, *shape).split()[:4] == ["0", "False", "0", "1"]
+
+    def test_paper_scale_pool_is_gone_on_return(self):
+        started, futures, pins, alive, workers = run_child(_SYNTH_CHILD, 2, 6, 96, 14, 14).split()
+        assert (pins, alive) == ("2", "1")
+        pool = int(workers) > 1
+        assert (started != "0", futures == "True") == (pool, pool)
 
 
 class TestSplit:

@@ -1,14 +1,11 @@
 import copy
 import dataclasses
 import math
-import os
 import re
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +44,15 @@ from spd_agg import (
     tangent_project,
     train,
 )
-from _oracles import ADJOINT_RTOL, adjoint_gap, central_diff, ordered_sum_formula, rel_err
+from _oracles import (
+    ADJOINT_RTOL,
+    adjoint_gap,
+    central_diff,
+    glibc,
+    ordered_sum_formula,
+    rel_err,
+    run_child,
+)
 
 SMALL = PipelineConfig(in_channels=6, mixed_channels=5, transform_dim=3, num_classes=3)
 
@@ -1500,27 +1505,7 @@ for _ in range(2):
 """
 
 
-def _glibc() -> bool:
-    try:
-        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
-    except (AttributeError, ValueError, OSError):
-        return False
-
-
-def _run_child(code: str, *args) -> str:
-    """The standard output of ``code`` run by a fresh interpreter, as
-    ``spd-agg`` runs, on this checkout's ``src/``."""
-    src = Path(network_mod.__file__).resolve().parents[1]
-    run = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    return run.stdout
-
-
-@pytest.mark.skipif(not _glibc(), reason="the allocator is pinned only under glibc")
+@pytest.mark.skipif(not glibc(), reason="the allocator is pinned only under glibc")
 class TestAllocator:
     def test_slices_reuse_heap_pages(self):
         # C = 64 maps of N = 4 in 16-sample slices, whose 512 KiB arrays
@@ -1528,10 +1513,10 @@ class TestAllocator:
         # 512 mixer, stage 2 stacks 256 KiB weight gradients per sample, in
         # 4-sample slices.
         for c0, mixed in ((64, 0), (512, 64)):
-            assert int(_run_child(_FAULT_CHILD, c0, mixed)) < TRAIN_FAULT_BOUND, (c0, mixed)
+            assert int(run_child(_FAULT_CHILD, c0, mixed)) < TRAIN_FAULT_BOUND, (c0, mixed)
 
     def test_pinned_when_slices_first_run_not_at_import(self):
         pins = [(-3, network_mod._MMAP_THRESHOLD), (-1, 32 * network_mod.SLICE_VALUES * 8)]
-        assert _run_child(_PIN_CHILD).splitlines() == [
+        assert run_child(_PIN_CHILD).splitlines() == [
             "[]", str(pins), str(pins)
         ]
